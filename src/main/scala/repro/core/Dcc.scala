@@ -7,64 +7,95 @@ package repro.core
   * (within the surviving set) is below `d`, until the remaining induced
   * subgraph is d-dense on all layers of `L`. The paper drives the peel with
   * bin-sorted `m(v) = min_i deg_i(v)` arrays; we use an equivalent
-  * worklist peel — identical output (the d-CC is unique, Property 1) and the
-  * same O((n + m)·|L|) bound, since each (vertex, layer) degree transition
-  * below `d` enqueues at most once and each edge is touched O(|L|) times.
+  * worklist peel over scope-local ids — identical output (the d-CC is
+  * unique, Property 1). A vertex is pushed at most once (when its first
+  * layer degree falls below `d`) and popped once, and each pop walks its
+  * |L| adjacency lists, so a call costs one zeroed n-int id map plus
+  * O(|L|·Σ_{v∈scope} deg(v)), independent of the rest of the graph.
   */
 object Dcc {
 
   /** d-CC of `g` w.r.t. `layers`, restricted to the induced subgraph on
-    * `within` (`null` means all vertices). Returns a sorted vertex array.
+    * `within` (`null` means all vertices; duplicates and order are
+    * ignored). Returns a sorted, distinct vertex array.
     */
   def compute(g: MLGraph, layers: Array[Int], d: Int,
               within: Array[Int] = null): Array[Int] = {
     require(layers.nonEmpty, "dCC needs at least one layer")
-    val verts: Array[Int] = if (within == null) Array.range(0, g.numVertices) else within
-    if (d <= 0) return verts.sorted // every vertex has degree >= 0
-
     val n = g.numVertices
-    val nl = layers.length
-    val present = new java.util.BitSet(n)
-    verts.foreach(present.set)
+    val scope: Array[Int] =
+      if (within == null) Array.range(0, n)
+      else if (strictlyIncreasing(within)) within
+      else within.sorted.distinct
+    if (d <= 0) return scope.clone() // every vertex has degree >= 0
 
-    // deg(li)(v): degree of v within the surviving set on layers(li)
-    val deg = Array.ofDim[Int](nl, n)
-    val stack = new java.util.ArrayDeque[Int]()
-    val queued = new java.util.BitSet(n)
+    val m = scope.length
+    val nl = layers.length
+    // local(v) = 1 + position of v in scope, 0 outside it
+    val local = new Array[Int](n)
+    var x = 0
+    while (x < m) { local(scope(x)) = x + 1; x += 1 }
+
+    // deg(li * m + x): degree of scope(x) within the surviving set on
+    // layers(li). A vertex is marked dead when pushed; its neighbours'
+    // degrees drop when it is popped.
+    val deg = new Array[Int](nl * m)
+    val dead = new Array[Boolean](m)
+    val stack = new Array[Int](m)
+    var top = 0
 
     var li = 0
     while (li < nl) {
-      val layer = layers(li)
-      verts.foreach { v =>
+      val adj = g.adj(layers(li))
+      val base = li * m
+      x = 0
+      while (x < m) {
+        val ns = adj(scope(x))
         var c = 0
-        g.neighbors(layer, v).foreach(u => if (present.get(u)) c += 1)
-        deg(li)(v) = c
-        if (c < d && !queued.get(v)) { queued.set(v); stack.push(v) }
+        var j = 0
+        while (j < ns.length) { if (local(ns(j)) != 0) c += 1; j += 1 }
+        deg(base + x) = c
+        if (c < d && !dead(x)) { dead(x) = true; stack(top) = x; top += 1 }
+        x += 1
       }
       li += 1
     }
 
-    while (!stack.isEmpty) {
-      val v = stack.pop()
-      if (present.get(v)) {
-        present.clear(v)
-        var i = 0
-        while (i < nl) {
-          val layer = layers(i)
-          g.neighbors(layer, v).foreach { u =>
-            if (present.get(u)) {
-              deg(i)(u) -= 1
-              if (deg(i)(u) < d && !queued.get(u)) { queued.set(u); stack.push(u) }
-            }
+    while (top > 0) {
+      top -= 1
+      val v = scope(stack(top))
+      li = 0
+      while (li < nl) {
+        val ns = g.adj(layers(li))(v)
+        val base = li * m
+        var j = 0
+        while (j < ns.length) {
+          val y = local(ns(j)) - 1
+          if (y >= 0 && !dead(y)) {
+            val c = deg(base + y) - 1
+            deg(base + y) = c
+            if (c < d) { dead(y) = true; stack(top) = y; top += 1 }
           }
-          i += 1
+          j += 1
         }
+        li += 1
       }
     }
 
-    val out = verts.filter(present.get)
-    java.util.Arrays.sort(out)
+    var alive = 0
+    x = 0
+    while (x < m) { if (!dead(x)) alive += 1; x += 1 }
+    val out = new Array[Int](alive)
+    var o = 0
+    x = 0
+    while (x < m) { if (!dead(x)) { out(o) = scope(x); o += 1 }; x += 1 }
     out
+  }
+
+  private def strictlyIncreasing(a: Array[Int]): Boolean = {
+    var i = 1
+    while (i < a.length) { if (a(i - 1) >= a(i)) return false; i += 1 }
+    true
   }
 
   /** Naive fixpoint reference (tests): repeatedly drop any vertex with a

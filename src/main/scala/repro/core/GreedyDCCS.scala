@@ -25,6 +25,7 @@ object GreedyDCCS {
   def run(g: MLGraph, d: Int, s: Int, k: Int,
           vertexDeletion: Boolean = true): Output = {
     require(s >= 1 && s <= g.numLayers, s"s=$s out of range 1..${g.numLayers}")
+    require(k >= 1, "k must be >= 1")
     val t0 = System.nanoTime()
     var dccCalls = 0
 
@@ -52,8 +53,10 @@ object GreedyDCCS {
       var bestIdx = 0; var bestGain = -1
       var i = 0
       while (i < remaining.length) {
+        val vs = remaining(i).vertices
         var gain = 0
-        remaining(i).vertices.foreach(v => if (!covered.get(v)) gain += 1)
+        var t = 0
+        while (t < vs.length) { if (!covered.get(vs(t))) gain += 1; t += 1 }
         if (gain > bestGain) { bestGain = gain; bestIdx = i }
         i += 1
       }

@@ -93,13 +93,64 @@ object MLGraph {
     */
   def fromEdges(numLayers: Int, numVertices: Int,
                 edges: IterableOnce[(Int, Int, Int)]): MLGraph = {
-    val sets = Array.fill(numLayers, numVertices)(mutable.SortedSet.empty[Int])
-    edges.iterator.foreach { case (li, u, v) =>
+    // The input may be single-pass: buffer the edges (minus self-loops) as
+    // flat (layer, u, v) ints while counting each endpoint's list length.
+    val buf = new mutable.ArrayBuilder.ofInt
+    val deg = Array.ofDim[Int](numLayers, numVertices)
+    val it = edges.iterator
+    while (it.hasNext) {
+      val t = it.next() // not `val (li, u, v) = ...`, which re-boxes a tuple
+      val li = t._1; val u = t._2; val v = t._3
       require(li >= 0 && li < numLayers, s"bad layer $li")
       require(u >= 0 && u < numVertices && v >= 0 && v < numVertices, s"bad edge ($u,$v)")
-      if (u != v) { sets(li)(u) += v; sets(li)(v) += u }
+      if (u != v) {
+        buf.addOne(li).addOne(u).addOne(v)
+        deg(li)(u) += 1; deg(li)(v) += 1
+      }
     }
-    new MLGraph(numLayers, numVertices, sets.map(_.map(_.toArray)))
+    val flat = buf.result()
+
+    // Scatter both orientations (deg(li)(v) counts down to 0 as the list of
+    // v on li fills), then sort and de-duplicate each list.
+    val adj = Array.ofDim[Array[Int]](numLayers, numVertices)
+    var li = 0
+    while (li < numLayers) {
+      var v = 0
+      while (v < numVertices) {
+        val c = deg(li)(v)
+        adj(li)(v) = if (c == 0) Array.emptyIntArray else new Array[Int](c)
+        v += 1
+      }
+      li += 1
+    }
+    var e = 0
+    while (e < flat.length) {
+      val li = flat(e); val u = flat(e + 1); val v = flat(e + 2)
+      deg(li)(u) -= 1; adj(li)(u)(deg(li)(u)) = v
+      deg(li)(v) -= 1; adj(li)(v)(deg(li)(v)) = u
+      e += 3
+    }
+    li = 0
+    while (li < numLayers) {
+      val lists = adj(li)
+      var v = 0
+      while (v < numVertices) {
+        val ns = lists(v)
+        if (ns.length > 1) {
+          java.util.Arrays.sort(ns)
+          var w = 1
+          var r = 1
+          while (r < ns.length) {
+            if (ns(r) != ns(w - 1)) { ns(w) = ns(r); w += 1 }
+            r += 1
+          }
+          if (w < ns.length) lists(v) = java.util.Arrays.copyOf(ns, w)
+        }
+        v += 1
+      }
+      li += 1
+    }
+    new MLGraph(numLayers, numVertices, adj)
   }
 
   /** Empty graph. */

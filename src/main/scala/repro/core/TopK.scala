@@ -85,9 +85,13 @@ final class TopKDiversified(val k: Int) {
   def satisfiesEq1(vs: Array[Int]): Boolean =
     cores.size < k || sizeIfReplace(vs) >= (1.0 + 1.0 / k) * covSize
 
-  /** Update R with candidate `c` per Rules 1/2; returns whether R changed. */
+  /** Update R with candidate `c` per Rules 1/2; returns whether R changed.
+    * A core whose layer set is already in R is rejected: InitTopK and the
+    * BU/TD searches can reach the same layer set more than once.
+    */
   def tryUpdate(c: Core): Boolean =
-    if (cores.size < k) {
+    if (cores.exists(_.layers == c.layers)) false
+    else if (cores.size < k) {
       cores += c
       delta += 0
       addVertices(cores.size - 1, c)

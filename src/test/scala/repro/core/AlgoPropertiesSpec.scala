@@ -81,4 +81,19 @@ class AlgoPropertiesSpec extends AnyFunSuite {
       assert(st.totalMillis >= 0)
     }
   }
+
+  // InitTopK can pick one layer set in several of its k rounds, and the
+  // search can generate it again; R must still hold each layer set once.
+  test("BU and TD never return a layer set twice (s = l-1, k >= l)") {
+    for (seed <- 1 to 5; k <- Seq(4, 6)) {
+      val g = TestGraphs.random(770 + seed, 25, 4, 0.25)
+      Seq("BU" -> BottomUpDCCS.run(g, 2, 3, k),
+          "TD" -> TopDownDCCS.run(g, 2, 3, k)).foreach { case (name, out) =>
+        val labels = out.result.map(_.layers)
+        assert(labels.distinct.length == labels.length,
+          s"$name seed=$seed k=$k returned ${labels.mkString(" ")}")
+        assert(out.coverSize == SetOps.coverSize(out.result.map(_.vertices)))
+      }
+    }
+  }
 }

@@ -33,6 +33,17 @@ class DccSpec extends AnyFunSuite {
     }
   }
 
+  // --- an unsorted scope with duplicates is treated as a set --------------
+  for ((name, g) <- graphs; d <- Seq(0, 2, 3)) {
+    test(s"dCC within a shuffled, duplicated scope matches naive ($name, d=$d)") {
+      val rng = new scala.util.Random(name.hashCode + d)
+      val base = (0 until g.numVertices).filter(_ => rng.nextDouble() < 0.7)
+      val within = rng.shuffle(base ++ base.take(base.length / 3)).toArray
+      assert(Dcc.compute(g, Array(0, 1), d, within).toSeq ==
+        Dcc.naive(g, Array(0, 1), d, within).toSeq)
+    }
+  }
+
   // --- the planted clique is found ----------------------------------------
   test("planted 8-clique on layers {0,1,2} survives as 7-CC") {
     val g = TestGraphs.withPlantedClique(99, 50, 4, 0.02, 0 until 8, Seq(0, 1, 2))

@@ -76,6 +76,13 @@ class GreedySpec extends AnyFunSuite {
     }
   }
 
+  test("all three algorithms reject k = 0") {
+    val g = TestGraphs.random(413, 20, 3, 0.25)
+    intercept[IllegalArgumentException](GreedyDCCS.run(g, 2, 2, 0))
+    intercept[IllegalArgumentException](BottomUpDCCS.run(g, 2, 2, 0))
+    intercept[IllegalArgumentException](TopDownDCCS.run(g, 2, 2, 0))
+  }
+
   test("empty graph yields empty cover") {
     val g = MLGraph.empty(3, 10)
     val out = GreedyDCCS.run(g, 1, 2, 2)

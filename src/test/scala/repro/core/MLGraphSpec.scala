@@ -2,6 +2,8 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
+import scala.collection.mutable
+import scala.util.Random
 
 class MLGraphSpec extends AnyFunSuite {
 
@@ -79,6 +81,41 @@ class MLGraphSpec extends AnyFunSuite {
     val (sub, old) = g.induced(Array(2, 4, 0))
     assert(old.toSeq == Seq(0, 2, 4))
     assert(sub.neighbors(0, 0).toSeq == Seq(1)) // old edge (0,2) on layer 0
+  }
+
+  // Reference: the one-SortedSet-per-(layer, vertex) builder fromEdges used
+  // before it was rewritten over primitive buffers.
+  private def sortedSetAdj(l: Int, n: Int,
+                           edges: Seq[(Int, Int, Int)]): Array[Array[Array[Int]]] = {
+    val sets = Array.fill(l, n)(mutable.SortedSet.empty[Int])
+    edges.foreach { case (li, u, v) =>
+      if (u != v) { sets(li)(u) += v; sets(li)(v) += u }
+    }
+    sets.map(_.map(_.toArray))
+  }
+
+  for (seed <- 1 to 8) {
+    test(s"fromEdges builds the same adjacency as a SortedSet builder (seed=$seed)") {
+      val rng = new Random(seed)
+      val (l, n) = (2 + rng.nextInt(4), 1 + rng.nextInt(60))
+      val emptyLayer = rng.nextInt(l)
+      val isolated = (0 until n).filter(_ => rng.nextDouble() < 0.2).toSet
+      val ends = (0 until n).filterNot(isolated).toIndexedSeq
+      val base = if (ends.isEmpty) Seq.empty else Seq.fill(rng.nextInt(8 * n)) {
+        val li = rng.nextInt(l)
+        (if (li == emptyLayer) (li + 1) % l else li,
+         ends(rng.nextInt(ends.length)), ends(rng.nextInt(ends.length)))
+      }
+      // duplicates in both orientations, then a shuffle
+      val dups = base.filter(_ => rng.nextDouble() < 0.3).map { case (li, u, v) => (li, v, u) }
+      val edges = rng.shuffle(base ++ dups ++ base.take(base.length / 4))
+      val g = MLGraph.fromEdges(l, n, edges.iterator)
+      val ref = sortedSetAdj(l, n, edges)
+      for (li <- 0 until l; v <- 0 until n)
+        assert(g.adj(li)(v).sameElements(ref(li)(v)), s"layer $li vertex $v")
+      assert(g.edgeCount(emptyLayer) == 0)
+      isolated.foreach(v => (0 until l).foreach(li => assert(g.degree(li, v) == 0)))
+    }
   }
 
   test("fromEdges validates layer and vertex bounds") {

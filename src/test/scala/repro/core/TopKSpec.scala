@@ -5,7 +5,12 @@ import scala.util.Random
 
 class TopKSpec extends AnyFunSuite {
 
-  private def mk(vs: Int*): Core = Core(Vector(0), vs.toArray.sorted)
+  // Each core gets a fresh layer set: R rejects a layer set it already holds.
+  private var nextLabel = 0
+  private def mk(vs: Int*): Core = {
+    nextLabel += 1
+    Core(Vector(nextLabel), vs.toArray.sorted)
+  }
 
   private def naiveCov(cores: Seq[Core]): Int =
     cores.flatMap(_.vertices).distinct.size
@@ -94,6 +99,19 @@ class TopKSpec extends AnyFunSuite {
     t.tryUpdate(mk(1, 2))
     t.tryUpdate(mk(1, 2))
     assert(t.covSize == 2 && t.deltaMin == 0)
+  }
+
+  test("a core whose layer set is already in R is rejected") {
+    val t = new TopKDiversified(2)
+    assert(t.tryUpdate(Core(Vector(0, 1), Array(1, 2))))
+    assert(!t.tryUpdate(Core(Vector(0, 1), Array(1, 2)))) // Rule 1 would insert it
+    assert(t.size == 1 && t.covSize == 2)
+    assert(t.tryUpdate(Core(Vector(0, 2), Array(3))))
+    // R is full and C* is {3}; Eq. (1) would accept this replacement
+    assert(t.sizeIfReplace(Array(3, 4, 5, 6)) >= 1.5 * t.covSize)
+    assert(!t.tryUpdate(Core(Vector(0, 1), Array(3, 4, 5, 6))))
+    assert(t.result.map(_.layers) == Vector(Vector(0, 1), Vector(0, 2)))
+    assert(t.covSize == 3)
   }
 
   test("empty candidate cores are handled") {
