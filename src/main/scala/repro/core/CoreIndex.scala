@@ -44,15 +44,12 @@ object CoreIndex {
     var act = active
     // membership bitsets of the current per-position d-cores
     def coreBits(): Array[java.util.BitSet] = {
-      val bits = new Array[java.util.BitSet](l)
-      var p = 0
-      while (p < l) {
+      val cores = DCore.allLayers(g, d, act)
+      order.map { li =>
         val bs = new java.util.BitSet(n)
-        Dcc.compute(g, Array(order(p)), d, act).foreach(bs.set)
-        bits(p) = bs
-        p += 1
+        cores(li).foreach(bs.set)
+        bs
       }
-      bits
     }
 
     var bits = coreBits()

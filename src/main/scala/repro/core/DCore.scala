@@ -11,9 +11,11 @@ object DCore {
               within: Array[Int] = null): Array[Int] =
     Dcc.compute(g, Array(layer), d, within)
 
-  /** d-cores of every layer (within an optional subset). */
+  /** d-cores of every layer (within an optional subset); the l peels run
+    * on the common fork-join pool, each into its layer's slot.
+    */
   def allLayers(g: MLGraph, d: Int, within: Array[Int] = null): Array[Array[Int]] =
-    Array.tabulate(g.numLayers)(i => compute(g, i, d, within))
+    Par.tabulate(g.numLayers)(i => compute(g, i, d, within))
 
   /** Support number Num(v) = |{ i : v ∈ C^d(G_i) }| for every vertex,
     * given precomputed per-layer cores.

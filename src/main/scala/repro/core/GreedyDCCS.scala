@@ -27,48 +27,58 @@ object GreedyDCCS {
     require(s >= 1 && s <= g.numLayers, s"s=$s out of range 1..${g.numLayers}")
     require(k >= 1, "k must be >= 1")
     val t0 = System.nanoTime()
-    var dccCalls = 0
 
     // Lines 1-3 + preprocessing: per-layer d-cores (on the pruned graph).
     val pre = Preprocess.vertexDeletion(g, d, s, vertexDeletion)
-    dccCalls += g.numLayers * pre.rounds
 
     // Lines 4-7: one candidate per layer subset of size s, computed inside
-    // the intersection bound of Lemma 1.
-    val candidates = (0 until g.numLayers).combinations(s).map { combo =>
+    // the intersection bound of Lemma 1. The peels run on the common
+    // fork-join pool, each into its combination's slot, so selection sees
+    // the enumeration order.
+    val combos = (0 until g.numLayers).combinations(s).toArray
+    val candidates = Par.tabulate(combos.length) { c =>
+      val combo = combos(c)
       val bound = SetOps.intersectAll(combo.map(pre.layerCores))
-      dccCalls += 1
       val cc =
         if (bound.isEmpty) Array.empty[Int]
         else Dcc.compute(g, combo.toArray, d, bound)
       Core(combo.toVector, cc)
-    }.toVector
-
-    // Lines 8-10: greedy max-cover selection.
-    val covered = new java.util.BitSet(g.numVertices)
-    val picked = Vector.newBuilder[Core]
-    val remaining = scala.collection.mutable.ArrayBuffer.from(candidates)
-    var j = 0
-    while (j < k && remaining.nonEmpty) {
-      var bestIdx = 0; var bestGain = -1
-      var i = 0
-      while (i < remaining.length) {
-        val vs = remaining(i).vertices
-        var gain = 0
-        var t = 0
-        while (t < vs.length) { if (!covered.get(vs(t))) gain += 1; t += 1 }
-        if (gain > bestGain) { bestGain = gain; bestIdx = i }
-        i += 1
-      }
-      val best = remaining.remove(bestIdx)
-      best.vertices.foreach(covered.set)
-      picked += best
-      j += 1
     }
 
-    val res = picked.result()
-    Output(res, covered.cardinality(),
-      Stats(dccCalls, candidates.length,
+    val (picked, cover) = select(candidates, k)
+    // one dCC call per layer per preprocessing round, one per candidate
+    Output(picked, cover,
+      Stats(g.numLayers * pre.rounds + combos.length, candidates.length,
             (System.nanoTime() - t0) / 1000000L))
+  }
+
+  /** Lines 8-10: greedy max-cover selection of up to `k` candidates by
+    * marginal gain; among equal gains the earliest candidate wins. Returns
+    * the picks in selection order and the size of their union.
+    */
+  def select(candidates: Array[Core], k: Int): (Vector[Core], Int) = {
+    val covered = new java.util.BitSet()
+    val taken = new Array[Boolean](candidates.length)
+    val picked = Vector.newBuilder[Core]
+    var j = 0
+    while (j < k && j < candidates.length) {
+      var bestIdx = -1; var bestGain = -1
+      var i = 0
+      while (i < candidates.length) {
+        if (!taken(i)) {
+          val vs = candidates(i).vertices
+          var gain = 0
+          var t = 0
+          while (t < vs.length) { if (!covered.get(vs(t))) gain += 1; t += 1 }
+          if (gain > bestGain) { bestGain = gain; bestIdx = i }
+        }
+        i += 1
+      }
+      taken(bestIdx) = true
+      candidates(bestIdx).vertices.foreach(covered.set)
+      picked += candidates(bestIdx)
+      j += 1
+    }
+    (picked.result(), covered.cardinality())
   }
 }

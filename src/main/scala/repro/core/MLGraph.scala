@@ -130,8 +130,8 @@ object MLGraph {
       deg(li)(v) -= 1; adj(li)(v)(deg(li)(v)) = u
       e += 3
     }
-    li = 0
-    while (li < numLayers) {
+    // Layers own disjoint lists: sort them on the common fork-join pool.
+    val sorted = Par.tabulate(numLayers) { li =>
       val lists = adj(li)
       var v = 0
       while (v < numVertices) {
@@ -148,9 +148,9 @@ object MLGraph {
         }
         v += 1
       }
-      li += 1
+      lists
     }
-    new MLGraph(numLayers, numVertices, adj)
+    new MLGraph(numLayers, numVertices, sorted)
   }
 
   /** Empty graph. */

@@ -42,29 +42,14 @@ object SparkDCCS {
                         d: Int, s: Int, k: Int): GreedyDCCS.Output = {
     val t0 = System.nanoTime()
     val pruned = SparkGraph.vertexDeletionDF(spark, edges, numLayers, d, s)
-    var dccCalls = 0
     val candidates = (0 until numLayers).combinations(s).map { combo =>
-      dccCalls += 1
       val cc = SparkGraph.collectVertices(
         SparkGraph.dccDF(spark, pruned, combo, d))
       Core(combo.toVector, cc)
-    }.toVector
-
-    val covered = new java.util.BitSet()
-    val picked = Vector.newBuilder[Core]
-    val remaining = scala.collection.mutable.ArrayBuffer.from(candidates)
-    var j = 0
-    while (j < k && remaining.nonEmpty) {
-      val bestIdx = remaining.indices.maxBy { i =>
-        remaining(i).vertices.count(v => !covered.get(v))
-      }
-      val best = remaining.remove(bestIdx)
-      best.vertices.foreach(covered.set)
-      picked += best
-      j += 1
-    }
-    GreedyDCCS.Output(picked.result(), covered.cardinality(),
-      GreedyDCCS.Stats(dccCalls, candidates.length,
+    }.toArray
+    val (picked, cover) = GreedyDCCS.select(candidates, k)
+    GreedyDCCS.Output(picked, cover,
+      GreedyDCCS.Stats(candidates.length, candidates.length,
                        (System.nanoTime() - t0) / 1000000L))
   }
 }

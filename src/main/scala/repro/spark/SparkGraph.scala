@@ -56,8 +56,14 @@ object SparkGraph {
     var sym = symmetric(edges.filter(col("layer").isin(layers: _*))).localCheckpoint()
     var verts = sym.select(col("src").as("v")).distinct().localCheckpoint()
     var nVerts = verts.count()
+    // every round but the last drops a vertex
+    val maxRounds = nVerts + 1
+    var rounds = 0L
     var done = nVerts == 0
     while (!done) {
+      rounds += 1
+      if (rounds > maxRounds) throw new IllegalStateException(
+        s"dccDF: no fixpoint after $maxRounds rounds on ${maxRounds - 1} vertices")
       val good = sym
         .groupBy(col("layer"), col("src"))
         .agg(count(lit(1)).as("deg"))
@@ -104,8 +110,15 @@ object SparkGraph {
   def vertexDeletionDF(spark: SparkSession, edges0: DataFrame,
                        numLayers: Int, d: Int, s: Int): DataFrame = {
     var edges = edges0.localCheckpoint()
+    var nEdges = edges.count()
+    // every round but the last drops an edge
+    val maxRounds = nEdges + 1
+    var rounds = 0L
     var done = false
     while (!done) {
+      rounds += 1
+      if (rounds > maxRounds) throw new IllegalStateException(
+        s"vertexDeletionDF: no fixpoint after $maxRounds rounds on ${maxRounds - 1} edges")
       val keep = supportNumDF(spark, edges, numLayers, d)
         .filter(col("num") >= s).select("v").localCheckpoint()
       val next = edges
@@ -113,8 +126,10 @@ object SparkGraph {
         .join(keep.withColumnRenamed("v", "dst"), Seq("dst"))
         .select(col("layer"), col("src"), col("dst"))
         .localCheckpoint()
-      if (next.count() == edges.count()) done = true
+      val nNext = next.count()
+      if (nNext == nEdges) done = true
       edges = next
+      nEdges = nNext
     }
     edges
   }

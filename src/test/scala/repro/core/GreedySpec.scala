@@ -1,9 +1,59 @@
 package repro.core
 
+import java.util.concurrent.{Callable, Executors}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
+import scala.collection.mutable
 
 class GreedySpec extends AnyFunSuite {
+
+  /** GD written out sequentially: vertex deletion with one `DCore.compute`
+    * per layer and round, candidates peeled in enumeration order inside
+    * their Lemma-1 bound, then greedy selection taking the first maximum.
+    * Returns (layers, vertices) of each pick and the cover size.
+    */
+  private def sequentialGD(g: MLGraph, d: Int, s: Int,
+                           k: Int): (Vector[(Vector[Int], Seq[Int])], Int) = {
+    def coresWithin(active: Array[Int]) =
+      Array.tabulate(g.numLayers)(i => DCore.compute(g, i, d, active))
+    var active = Array.range(0, g.numVertices)
+    var cores = coresWithin(active)
+    var stable = false
+    while (!stable) {
+      val num = DCore.supportNum(g.numVertices, cores)
+      val keep = active.filter(num(_) >= s)
+      if (keep.length == active.length) stable = true
+      else { active = keep; cores = coresWithin(active) }
+    }
+    val cands = (0 until g.numLayers).combinations(s).map { combo =>
+      val bound = SetOps.intersectAll(combo.map(cores))
+      combo.toVector ->
+        (if (bound.isEmpty) Seq.empty[Int]
+         else Dcc.compute(g, combo.toArray, d, bound).toSeq)
+    }.to(mutable.ArrayBuffer)
+    val covered = mutable.Set.empty[Int]
+    val picked = Vector.newBuilder[(Vector[Int], Seq[Int])]
+    for (_ <- 1 to k if cands.nonEmpty) {
+      val gains = cands.map(_._2.count(v => !covered.contains(v)))
+      val best = cands.remove(gains.indexOf(gains.max))
+      covered ++= best._2
+      picked += best
+    }
+    (picked.result(), covered.size)
+  }
+
+  private def answer(out: GreedyDCCS.Output): (Vector[(Vector[Int], Seq[Int])], Int) =
+    (out.result.map(c => (c.layers, c.vertices.toSeq)), out.coverSize)
+
+  /** `copies` identical copies of each of two random layers: every
+    * candidate built from copies of one layer ties with the others.
+    */
+  private def replicated(seed: Long, n: Int, copies: Int, p: Double): MLGraph = {
+    val base = TestGraphs.random(seed, n, 2, p)
+    MLGraph.fromEdges(2 * copies, n, base.edgeTriples.flatMap { case (li, u, v) =>
+      (0 until copies).map(c => (li * copies + c, u, v))
+    })
+  }
 
   for (seed <- 1 to 6) {
     val g = TestGraphs.random(400 + seed, 25, 4, 0.2)
@@ -26,6 +76,14 @@ class GreedySpec extends AnyFunSuite {
     test(s"coverSize equals the union of the returned cores (seed=$seed)") {
       val out = GreedyDCCS.run(g, d, s, k)
       assert(out.coverSize == SetOps.coverSize(out.result.map(_.vertices)))
+    }
+
+    test(s"GD equals a sequential reference GD (seed=$seed)") {
+      assert(answer(GreedyDCCS.run(g, d, s, k)) == sequentialGD(g, d, s, k))
+      val wide = TestGraphs.random(440 + seed, 60, 7, 0.12)
+      for ((wd, ws, wk) <- Seq((2, 3, 6), (1, 2, 10), (3, 4, 40)))
+        assert(answer(GreedyDCCS.run(wide, wd, ws, wk)) == sequentialGD(wide, wd, ws, wk),
+          s"d=$wd s=$ws k=$wk")
     }
 
     test(s"greedy matches a naive greedy over the full candidate set (seed=$seed)") {
@@ -61,8 +119,39 @@ class GreedySpec extends AnyFunSuite {
   test("stats count one dcc call per candidate plus preprocessing") {
     val g = TestGraphs.random(412, 25, 4, 0.2)
     val out = GreedyDCCS.run(g, 2, 2, 3)
+    val rounds = Preprocess.vertexDeletion(g, 2, 2).rounds
     assert(out.stats.candidatesGenerated == 6) // C(4,2)
-    assert(out.stats.dccCalls >= 6)
+    assert(out.stats.dccCalls == 6 + 4 * rounds)
+  }
+
+  test("ties on gain break by enumeration order, as in a sequential GD") {
+    for (seed <- 1 to 4) {
+      val g = replicated(450 + seed, 40, 4, 0.15)
+      for ((d, s, k) <- Seq((2, 2, 5), (2, 3, 12), (1, 4, 70))) {
+        val out = GreedyDCCS.run(g, d, s, k)
+        assert(answer(out) == sequentialGD(g, d, s, k), s"seed=$seed d=$d s=$s k=$k")
+      }
+    }
+  }
+
+  test("GD from 4 threads at once on one shared graph equals the sequential answer") {
+    val g = TestGraphs.random(430, 80, 6, 0.1)
+    val params = Vector((2, 2, 5), (2, 3, 4), (3, 2, 3), (1, 4, 6))
+    val expected = params.map { case (d, s, k) => sequentialGD(g, d, s, k) }
+    val pool = Executors.newFixedThreadPool(4)
+    try {
+      val futures = (0 until 4).map { t =>
+        pool.submit(new Callable[Vector[Int]] {
+          // each thread walks the parameters from its own offset, repeatedly
+          def call(): Vector[Int] = (0 until 5 * params.length).toVector.flatMap { r =>
+            val p = (t + r) % params.length
+            val (d, s, k) = params(p)
+            if (answer(GreedyDCCS.run(g, d, s, k)) == expected(p)) None else Some(p)
+          }
+        })
+      }
+      futures.foreach(f => assert(f.get().isEmpty, "answers that differ"))
+    } finally pool.shutdown()
   }
 
   test("achieves the (1 - 1/e) bound vs the exact optimum on tiny instances") {

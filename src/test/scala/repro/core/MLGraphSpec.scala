@@ -94,27 +94,43 @@ class MLGraphSpec extends AnyFunSuite {
     sets.map(_.map(_.toArray))
   }
 
+  /** fromEdges on random edges over `l` layers (one of them empty), with
+    * isolated vertices and duplicates in both orientations, against
+    * [[sortedSetAdj]].
+    */
+  private def checkAgainstSortedSet(rng: Random, l: Int): Unit = {
+    val n = 1 + rng.nextInt(60)
+    val emptyLayer = rng.nextInt(l)
+    val isolated = (0 until n).filter(_ => rng.nextDouble() < 0.2).toSet
+    val ends = (0 until n).filterNot(isolated).toIndexedSeq
+    val base = if (ends.isEmpty) Seq.empty else Seq.fill(rng.nextInt(8 * n)) {
+      val li = rng.nextInt(l)
+      (if (li == emptyLayer) (li + 1) % l else li,
+       ends(rng.nextInt(ends.length)), ends(rng.nextInt(ends.length)))
+    }
+    // duplicates in both orientations, then a shuffle
+    val dups = base.filter(_ => rng.nextDouble() < 0.3).map { case (li, u, v) => (li, v, u) }
+    val edges = rng.shuffle(base ++ dups ++ base.take(base.length / 4))
+    val g = MLGraph.fromEdges(l, n, edges.iterator)
+    val ref = sortedSetAdj(l, n, edges)
+    for (li <- 0 until l; v <- 0 until n)
+      assert(g.adj(li)(v).sameElements(ref(li)(v)), s"layer $li vertex $v")
+    assert(g.edgeCount(emptyLayer) == 0)
+    isolated.foreach(v => (0 until l).foreach(li => assert(g.degree(li, v) == 0)))
+  }
+
   for (seed <- 1 to 8) {
     test(s"fromEdges builds the same adjacency as a SortedSet builder (seed=$seed)") {
       val rng = new Random(seed)
-      val (l, n) = (2 + rng.nextInt(4), 1 + rng.nextInt(60))
-      val emptyLayer = rng.nextInt(l)
-      val isolated = (0 until n).filter(_ => rng.nextDouble() < 0.2).toSet
-      val ends = (0 until n).filterNot(isolated).toIndexedSeq
-      val base = if (ends.isEmpty) Seq.empty else Seq.fill(rng.nextInt(8 * n)) {
-        val li = rng.nextInt(l)
-        (if (li == emptyLayer) (li + 1) % l else li,
-         ends(rng.nextInt(ends.length)), ends(rng.nextInt(ends.length)))
-      }
-      // duplicates in both orientations, then a shuffle
-      val dups = base.filter(_ => rng.nextDouble() < 0.3).map { case (li, u, v) => (li, v, u) }
-      val edges = rng.shuffle(base ++ dups ++ base.take(base.length / 4))
-      val g = MLGraph.fromEdges(l, n, edges.iterator)
-      val ref = sortedSetAdj(l, n, edges)
-      for (li <- 0 until l; v <- 0 until n)
-        assert(g.adj(li)(v).sameElements(ref(li)(v)), s"layer $li vertex $v")
-      assert(g.edgeCount(emptyLayer) == 0)
-      isolated.foreach(v => (0 until l).foreach(li => assert(g.degree(li, v) == 0)))
+      checkAgainstSortedSet(rng, 2 + rng.nextInt(4))
+    }
+  }
+
+  // enough layers that the per-layer sort is split over several tasks
+  for (seed <- 9 to 12) {
+    test(s"fromEdges with 8 to 16 layers matches the SortedSet builder (seed=$seed)") {
+      val rng = new Random(seed)
+      checkAgainstSortedSet(rng, 8 + rng.nextInt(9))
     }
   }
 

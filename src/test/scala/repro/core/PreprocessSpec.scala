@@ -33,6 +33,18 @@ class PreprocessSpec extends AnyFunSuite {
     }
   }
 
+  test("allLayers equals one DCore.compute per layer") {
+    for (seed <- 1 to 4; l <- Seq(3, 10)) {
+      val g = TestGraphs.random(300 + seed, 40, l, 0.12)
+      val within = Array.range(0, 40).filter(_ % 3 != 0)
+      for (d <- 1 to 3; w <- Seq(null, within)) {
+        val got = DCore.allLayers(g, d, w)
+        val exp = Array.tabulate(l)(i => DCore.compute(g, i, d, w))
+        assert(got.map(_.toSeq).toSeq == exp.map(_.toSeq).toSeq, s"seed=$seed l=$l d=$d")
+      }
+    }
+  }
+
   test("disabled preprocessing keeps all vertices but computes cores") {
     val g = TestGraphs.random(200, 25, 3, 0.2)
     val st = Preprocess.vertexDeletion(g, 2, 3, enabled = false)

@@ -2,6 +2,7 @@ package repro.spark
 
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.core._
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 class SparkGraphSpec extends SparkSpec {
@@ -88,8 +89,8 @@ class SparkGraphSpec extends SparkSpec {
     }
   }
 
-  test("vertexDeletionDF equals local preprocessing") {
-    val (d, s) = (2, 2)
+  private def assertVertexDeletionMatches(g: MLGraph, edges: DataFrame,
+                                          d: Int, s: Int): Unit = {
     val prunedEdges = SparkGraph.vertexDeletionDF(spark, edges, g.numLayers, d, s)
     val survivors = SparkGraph.symmetric(prunedEdges)
       .select(col("src")).distinct().collect().map(_.getInt(0)).sorted
@@ -100,6 +101,18 @@ class SparkGraphSpec extends SparkSpec {
       (0 until g.numLayers).exists(li => g.neighbors(li, v).exists(act.contains))
     }
     assert(survivors.toSeq == localWithEdge.toSeq)
+  }
+
+  test("vertexDeletionDF equals local preprocessing") {
+    assertVertexDeletionMatches(g, edges, 2, 2)
+  }
+
+  test("vertexDeletionDF equals local preprocessing that takes several rounds") {
+    val mg = TestGraphs.random(1024, 40, 4, 0.1)
+    val (d, s) = (2, 3)
+    val st = Preprocess.vertexDeletion(mg, d, s)
+    assert(st.rounds >= 2 && st.active.nonEmpty, s"rounds=${st.rounds}")
+    assertVertexDeletionMatches(mg, SparkGraph.toDF(spark, mg), d, s)
   }
 
   test("connectedComponentsDF equals local union-find") {
