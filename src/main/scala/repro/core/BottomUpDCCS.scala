@@ -46,28 +46,8 @@ object BottomUpDCCS {
 
     // Line 8: InitTopK (Appendix D).
     if (cfg.initTopK) {
-      var p = 0
-      while (p < k) {
-        // layer whose d-core maximally enlarges Cov(R)
-        val covered = new java.util.BitSet(g.numVertices)
-        topk.result.foreach(_.vertices.foreach(covered.set))
-        val i = (0 until l).maxBy(j => cores(j).count(v => !covered.get(v)))
-        var L = List(i)
-        var c = cores(i)
-        var q = 1
-        while (q < s) {
-          val j = (0 until l).filterNot(L.contains)
-            .maxBy(j2 => SetOps.intersect(c, cores(j2)).length)
-          c = SetOps.intersect(c, cores(j))
-          L = j :: L
-          q += 1
-        }
-        dccCalls += 1
-        val cc = if (c.isEmpty) Array.empty[Int] else Dcc.compute(g, L.map(order).toArray, d, c)
-        candidates += 1
-        topk.tryUpdate(mkCore(L, cc))
-        p += 1
-      }
+      TopKDiversified.initTopK(g, d, s, order, cores, topk)
+      dccCalls += k; candidates += k
     }
 
     // Procedure BU-Gen (Fig. 3), positions ascending in `L`.

@@ -22,14 +22,13 @@ object GreedyDCCS {
     }
   }
 
-  def run(g: MLGraph, d: Int, s: Int, k: Int,
-          vertexDeletion: Boolean = true): Output = {
+  def run(g: MLGraph, d: Int, s: Int, k: Int): Output = {
     require(s >= 1 && s <= g.numLayers, s"s=$s out of range 1..${g.numLayers}")
     require(k >= 1, "k must be >= 1")
     val t0 = System.nanoTime()
 
     // Lines 1-3 + preprocessing: per-layer d-cores (on the pruned graph).
-    val pre = Preprocess.vertexDeletion(g, d, s, vertexDeletion)
+    val pre = Preprocess.vertexDeletion(g, d, s)
 
     // Lines 4-7: one candidate per layer subset of size s, computed inside
     // the intersection bound of Lemma 1. The peels run on the common

@@ -9,8 +9,8 @@ import scala.util.control.Breaks
   * - `RefineU` (Fig. 9) shrinks `U_L` to `U_{L'}`: Class-1 layers (never
   *   removable below this node) get a degree-d peel; Class-2 layers get the
   *   support-count filter against the per-layer d-cores.
-  * - `RefineC` (Fig. 10) finds the exact `C_{L'}` inside `U_{L'}` using the
-  *   [[CoreIndex]] (Lemmas 8/9) with cascading discards.
+  * - `RefineC` (Fig. 10) finds the exact `C_{L'}` by peeling `U_{L'}`
+  *   (see the deviation below).
   * - Prunings: Lemma 5 (Eq. (1) on `U_{L'}`), Lemma 6 (order-based break on
   *   `|U_{L'}|`), Lemma 7 (Eq. (2) -> evaluate one random depth-s descendant
   *   and skip the subtree).
@@ -18,33 +18,28 @@ import scala.util.control.Breaks
   * Layers are sorted ascending by |C^d(G_i)| (Section V-D). 1/4-approximate
   * (Theorem 4). Intended for s ≥ l/2 but correct for any s.
   *
-  * Documented deviation in RefineC: we apply the index narrowing of Lemma 8
-  * (`Z = U_{L'} ∩ ∪_{h ≥ |L'|} I_h`, provably sound) and then peel `Z`
-  * exactly, but we do NOT apply the chain-reachability discards of Lemma 9.
-  * Lemma 9 is unsound as stated: its proof assumes a vertex's current-core
-  * membership at removal time is decided by its immediate neighbors, but
-  * d-core peeling is a global fixpoint — removing a low-level core vertex
-  * can cascade through *higher-level* vertices of `C_{L'}` and evict a core
-  * vertex `u` from the current d-core (so `L' ⊄ L(u)`) even though `u` has
-  * no lower-level neighbor, leaving no ascending chain. Our randomized test
-  * suite found concrete counterexamples (see CoreIndexSpec), on which the
-  * Fig. 10 procedure returns a proper subset of the true d-CC. Dropping the
-  * chain filter keeps RefineC exact (verified against `Dcc.compute` for
-  * every node of the search tree in TopDownSpec) at a constant-factor cost.
+  * Documented deviation in RefineC: we peel `U_{L'}` directly, without the
+  * hierarchical core index. This is exact, because `C_{L'} ⊆ U_{L'}` and the
+  * d-CC inside any superset of `C_{L'}` is `C_{L'}`. The index's Lemma-8
+  * filter removed almost no vertex on the TD bench workloads, and its
+  * Lemma-9 chain discard is unsound as stated: d-core peeling is a global
+  * fixpoint, so removing a low-level vertex can cascade through higher-level
+  * vertices of `C_{L'}` and evict a core vertex that has no lower-level
+  * neighbor, leaving no ascending chain. DESIGN.md §4 has the details, and
+  * CoreIndexSpec pins a counterexample on a test-local build of the index.
   */
 object TopDownDCCS {
 
   final case class Config(vertexDeletion: Boolean = true,
                           sortLayers: Boolean = true,
-                          initTopK: Boolean = true,
-                          seed: Long = 42L)
+                          initTopK: Boolean = true)
 
   def run(g: MLGraph, d: Int, s: Int, k: Int,
           cfg: Config = Config()): GreedyDCCS.Output = {
     require(s >= 1 && s <= g.numLayers, s"s=$s out of range 1..${g.numLayers}")
     val t0 = System.nanoTime()
     val l = g.numLayers
-    val rng = new scala.util.Random(cfg.seed)
+    val rng = new scala.util.Random(42L) // Lemma 7's random descendant
     var dccCalls = 0
     var candidates = 0
 
@@ -66,34 +61,11 @@ object TopDownDCCS {
     def mkCore(positions: Seq[Int], vs: Array[Int]): Core =
       Core(positions.map(order).sorted.toVector, vs)
 
-    // InitTopK (Appendix D), identical to the BU variant.
+    // InitTopK (Appendix D).
     if (cfg.initTopK) {
-      var p = 0
-      while (p < k) {
-        val covered = new java.util.BitSet(g.numVertices)
-        topk.result.foreach(_.vertices.foreach(covered.set))
-        val i = (0 until l).maxBy(j => cores(j).count(v => !covered.get(v)))
-        var L = List(i)
-        var c = cores(i)
-        var q = 1
-        while (q < s) {
-          val j = (0 until l).filterNot(L.contains)
-            .maxBy(j2 => SetOps.intersect(c, cores(j2)).length)
-          c = SetOps.intersect(c, cores(j))
-          L = j :: L
-          q += 1
-        }
-        dccCalls += 1; candidates += 1
-        val cc = if (c.isEmpty) Array.empty[Int] else Dcc.compute(g, L.map(order).toArray, d, c)
-        topk.tryUpdate(mkCore(L, cc))
-        p += 1
-      }
+      TopKDiversified.initTopK(g, d, s, order, cores, topk)
+      dccCalls += k; candidates += k
     }
-
-    // Line 3: the index. (Its construction cost is in totalMillis; dccCalls
-    // counts only search-phase peels, the machine-independent search-space
-    // metric compared across algorithms.)
-    val index = CoreIndex.build(g, order, d, pre.active)
 
     // ---- RefineU (Fig. 9) -------------------------------------------------
     def refineU(u: Array[Int], lPrime: List[Int]): Array[Int] = {
@@ -116,14 +88,12 @@ object TopDownDCCS {
       else Dcc.compute(g, m.map(order).toArray, d, afterR2)
     }
 
-    // ---- RefineC (Fig. 10, sound subset — see deviation note above) -------
+    // ---- RefineC (Fig. 10, without the index — see deviation note above) --
     def refineC(u: Array[Int], lPrime: List[Int]): Array[Int] = {
       dccCalls += 1
       val lpArr = lPrime.toArray.sorted
-      // Lemma 8: the d-CC lives in index levels with h >= |L'|.
-      val z = u.filter(v => index.hOf(v) >= lpArr.length)
-      if (z.isEmpty) Array.empty[Int]
-      else Dcc.compute(g, lpArr.map(order), d, z)
+      if (u.isEmpty) Array.empty[Int]
+      else Dcc.compute(g, lpArr.map(order), d, u)
     }
 
     // ---- TD-Gen (Fig. 8) --------------------------------------------------

@@ -120,3 +120,29 @@ final class TopKDiversified(val k: Int) {
     (1.0 / kd + 1.0 / (kd * kd)) * covSize + (1.0 + 1.0 / kd) * deltaMin
   }
 }
+
+object TopKDiversified {
+
+  /** InitTopK (Appendix D), shared by BU and TD: `topk.k` greedy rounds, one
+    * dCC call each. A round starts `L` at the layer whose d-core adds the
+    * most uncovered vertices, grows it to s layers by largest intersection
+    * with the running bound, and offers the d-CC of `L` inside that bound to
+    * `topk`. Ties go to the lowest position; `order` maps positions to layers.
+    */
+  private[core] def initTopK(g: MLGraph, d: Int, s: Int, order: Array[Int],
+                             cores: Array[Array[Int]], topk: TopKDiversified): Unit =
+    for (_ <- 0 until topk.k) {
+      val covered = new java.util.BitSet(g.numVertices)
+      topk.result.foreach(_.vertices.foreach(covered.set))
+      var L = List(cores.indices.maxBy(j => cores(j).count(v => !covered.get(v))))
+      var c = cores(L.head)
+      for (_ <- 1 until s) {
+        val j = cores.indices.filterNot(L.contains)
+          .maxBy(j2 => SetOps.intersect(c, cores(j2)).length)
+        c = SetOps.intersect(c, cores(j))
+        L = j :: L
+      }
+      val cc = if (c.isEmpty) Array.empty[Int] else Dcc.compute(g, L.map(order).toArray, d, c)
+      topk.tryUpdate(Core(L.map(order).sorted.toVector, cc))
+    }
+}

@@ -134,55 +134,7 @@ object SparkGraph {
     edges
   }
 
-  /** Connected components of the (single- or multi-layer-union) edge set by
-    * iterative min-label propagation. Returns (v, comp).
-    */
-  def connectedComponentsDF(spark: SparkSession, edges: DataFrame): DataFrame = {
-    val sym = symmetric(edges.select(lit(0).as("layer"), col("src"), col("dst")))
-      .select("src", "dst").distinct().localCheckpoint()
-    var comp = sym.select(col("src").as("v")).distinct()
-      .withColumn("comp", col("v")).localCheckpoint()
-    var changedCount = 1L
-    while (changedCount > 0) {
-      val nbrMin = sym
-        .join(comp.withColumnRenamed("v", "dst"), Seq("dst"))
-        .groupBy(col("src").as("v"))
-        .agg(min(col("comp")).as("nbrComp"))
-      val next = comp.join(nbrMin, Seq("v"), "left")
-        .select(col("v"),
-          least(col("comp"), coalesce(col("nbrComp"), col("comp"))).as("comp"))
-        .localCheckpoint()
-      changedCount = next.as("a")
-        .join(comp.as("b"), col("a.v") === col("b.v"))
-        .filter(col("a.comp") =!= col("b.comp"))
-        .count()
-      comp = next
-    }
-    comp
-  }
-
   /** Collect a single-column int DataFrame as a sorted vertex array. */
   def collectVertices(df: DataFrame): Array[Int] =
     df.collect().map(_.getInt(0)).sorted
-
-  /** Multi-layer edges built from [[repro.SynthData]] zipf keys — a skewed
-    * stress graph whose heavy keys form natural high-degree hubs.
-    */
-  def zipfEdges(spark: SparkSession, numLayers: Int, rowsPerLayer: Long,
-                nKeys: Long, alpha: Double = 1.1, seed: Long = 11L): DataFrame = {
-    (0 until numLayers).map { li =>
-      val src = repro.SynthData.zipfKeys(spark, rowsPerLayer, nKeys, alpha, seed + 2L * li)
-        .select((col("k") - 1).cast("int").as("src"))
-      val dst = repro.SynthData.zipfKeys(spark, rowsPerLayer, nKeys, alpha, seed + 2L * li + 1)
-        .select((col("k") - 1).cast("int").as("dst"))
-      val a = src.withColumn("rid", monotonically_increasing_id())
-      val b = dst.withColumn("rid", monotonically_increasing_id())
-      a.join(b, "rid")
-        .select(lit(li).as("layer"),
-          least(col("src"), col("dst")).as("src"),
-          greatest(col("src"), col("dst")).as("dst"))
-        .filter(col("src") =!= col("dst"))
-        .distinct()
-    }.reduce(_ union _)
-  }
 }

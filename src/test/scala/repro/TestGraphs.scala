@@ -37,6 +37,26 @@ object TestGraphs {
     MLGraph.fromEdges(l, n, bg ++ planted)
   }
 
+  /** Hub-heavy graph: each layer draws `m` vertex pairs from a Zipf law over
+    * the ids (vertex i has weight (i+1)^-1.1), dropping self-loops and
+    * repeats, so the low ids become high-degree hubs.
+    */
+  def zipf(seed: Long, n: Int, l: Int, m: Int): MLGraph = {
+    val rng = new Random(seed)
+    val cdf = (1 to n).scanLeft(0.0)((acc, i) => acc + math.pow(i, -1.1)).tail.toArray
+    def draw(): Int = {
+      val i = java.util.Arrays.binarySearch(cdf, rng.nextDouble() * cdf.last)
+      if (i >= 0) i else -i - 1
+    }
+    val edges = for {
+      li <- 0 until l
+      _ <- 0 until m
+      (u, v) = (draw(), draw())
+      if u != v
+    } yield (li, math.min(u, v), math.max(u, v))
+    MLGraph.fromEdges(l, n, edges)
+  }
+
   /** A tiny fully hand-checkable 2-layer graph:
     * layer 0: triangle {0,1,2} + edge (3,4); layer 1: square 0-1-2-3-0.
     */

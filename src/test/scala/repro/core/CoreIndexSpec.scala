@@ -3,57 +3,41 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 
+/** Pins the documented unsoundness of the paper's Lemma 9 (DESIGN.md §4) on
+  * a test-local build of the hierarchical core index of Section V-C. TD's
+  * RefineC peels its potential set directly and builds no index.
+  */
 class CoreIndexSpec extends AnyFunSuite {
 
-  private def build(seed: Int, d: Int = 2, s: Int = 1) = {
-    val g = TestGraphs.random(300 + seed, 25, 4, 0.2)
-    val pre = Preprocess.vertexDeletion(g, d, s)
-    val order = Array.range(0, g.numLayers)
-    (g, pre, CoreIndex.build(g, order, d, pre.active))
-  }
-
-  for (seed <- 1 to 5) {
-    test(s"levels partition the active set (seed=$seed)") {
-      val (_, pre, idx) = build(seed)
-      val all = idx.levels.flatten.sorted
-      assert(all.toSeq == pre.active.toSeq)
-      assert(all.distinct.length == all.length)
-    }
-
-    test(s"hOf is non-decreasing across levels and L(v) has |L(v)| <= h (seed=$seed)") {
-      val (_, _, idx) = build(seed)
-      var lastH = 1
-      idx.levels.zipWithIndex.foreach { case (vs, lev) =>
-        vs.foreach { v =>
-          assert(idx.levelOf(v) == lev)
-          assert(idx.hOf(v) >= lastH, s"h went backwards at level $lev")
-          assert(idx.lvOf(v).length <= idx.hOf(v),
-            s"v=$v removed at h=${idx.hOf(v)} but |L(v)|=${idx.lvOf(v).length}")
+  /** Reference build of the index over the layers in id order: at each
+    * threshold h = 1..l, remove batch after batch of the surviving vertices
+    * with Num(v) ≤ h, counted over the d-cores of the survivors; each batch
+    * is one level. Returns each vertex's level and L(v), the layers whose
+    * d-core held it just before its removal (-1 and null if not indexed).
+    */
+  private def buildIndex(g: MLGraph, d: Int,
+                         active: Array[Int]): (Array[Int], Array[Array[Int]]) = {
+    val l = g.numLayers
+    val levelOf = Array.fill(g.numVertices)(-1)
+    val lvOf = new Array[Array[Int]](g.numVertices)
+    var act = active
+    var cores = DCore.allLayers(g, d, act).map(_.toSet)
+    var level = 0
+    var h = 1
+    while (h <= l && act.nonEmpty) {
+      val batch = act.filter(v => cores.count(_(v)) <= h)
+      if (batch.isEmpty) h += 1
+      else {
+        batch.foreach { v =>
+          levelOf(v) = level
+          lvOf(v) = (0 until l).filter(p => cores(p)(v)).toArray
         }
-        if (vs.nonEmpty) lastH = idx.hOf(vs.head)
+        level += 1
+        act = act.filterNot(batch.toSet)
+        cores = DCore.allLayers(g, d, act).map(_.toSet)
       }
     }
-
-    test(s"Lemma 8: C_L lives in levels with h >= |L| (seed=$seed)") {
-      val (g, pre, idx) = build(seed)
-      for (sz <- 1 to 3; combo <- (0 until g.numLayers).combinations(sz).take(4)) {
-        val cc = Dcc.compute(g, combo.toArray, 2, pre.active)
-        cc.foreach(v => assert(idx.hOf(v) >= sz,
-          s"v=$v in C_{${combo.mkString(",")}} but h=${idx.hOf(v)} < $sz"))
-      }
-    }
-
-    test(s"Lemma 8 Z-filter is lossless for every 2-layer core (seed=$seed)") {
-      // This is the (sound) index narrowing RefineC actually uses:
-      // peeling inside Z = {v : h(v) >= |L|} returns the exact d-CC.
-      val (g, pre, idx) = build(seed)
-      (0 until g.numLayers).combinations(2).take(4).foreach { combo =>
-        val L = combo.toArray
-        val exact = Dcc.compute(g, L, 2, pre.active)
-        val z = pre.active.filter(v => idx.hOf(v) >= L.length)
-        assert(Dcc.compute(g, L, 2, z).toSeq == exact.toSeq)
-      }
-    }
+    (levelOf, lvOf)
   }
 
   test("Lemma 9's chain property is violated on a concrete instance (documented unsoundness)") {
@@ -61,26 +45,22 @@ class CoreIndexSpec extends AnyFunSuite {
     // chain-reachability discard from RefineC (see TopDownDCCS doc): on this
     // graph a vertex of C_{0,1} has no ascending index chain from a vertex
     // w0 with L ⊆ L(w0), so the Fig. 10 procedure would wrongly discard it.
-    val (g, pre, idx) = build(3)
+    val g = TestGraphs.random(303, 25, 4, 0.2)
+    val pre = Preprocess.vertexDeletion(g, 2, 1)
+    val (levelOf, lvOf) = buildIndex(g, 2, pre.active)
     val active = pre.active.toSet
     val violated = (0 until g.numLayers).combinations(2).exists { combo =>
       val L = combo.toArray
       val cc = Dcc.compute(g, L, 2, pre.active)
       val reached = scala.collection.mutable.Set.empty[Int]
-      pre.active.sortBy(idx.levelOf).foreach { v =>
-        val isStart = SetOps.subsetOf(L, idx.lvOf(v))
+      pre.active.sortBy(levelOf).foreach { v =>
+        val isStart = SetOps.subsetOf(L, lvOf(v))
         val fromBelow = g.unionAdj(v).exists(u =>
-          active(u) && reached(u) && idx.levelOf(u) < idx.levelOf(v))
+          active(u) && reached(u) && levelOf(u) < levelOf(v))
         if (isStart || fromBelow) reached += v
       }
       cc.exists(v => !reached(v))
     }
     assert(violated, "expected at least one Lemma-9 violation on this pinned instance")
-  }
-
-  test("index of empty active set is empty") {
-    val g = TestGraphs.random(999, 10, 2, 0.02)
-    val idx = CoreIndex.build(g, Array(0, 1), 5, Array.empty[Int])
-    assert(idx.levels.isEmpty)
   }
 }

@@ -29,17 +29,18 @@ class TopDownSpec extends AnyFunSuite {
   }
 
   test("with k >= #candidates and no init, TD enumerates every candidate exactly") {
-    // This drives RefineU + RefineC + CoreIndex through every node of the
-    // top-down search tree and demands exact d-CCs everywhere.
-    for (seed <- 1 to 6; s <- 2 to 4) {
+    // This drives RefineU + RefineC through every node of the top-down
+    // search tree and demands exact d-CCs everywhere. Without vertex
+    // deletion RefineC sees the widest potential sets.
+    for (seed <- 1 to 6; s <- 2 to 4; vd <- Seq(true, false)) {
       val g = TestGraphs.random(610 + seed, 22, 4, 0.22)
       val d = 2
       val nCand = (0 until 4).combinations(s).size
       val out = TopDownDCCS.run(g, d, s, nCand,
-        TopDownDCCS.Config(initTopK = false))
+        TopDownDCCS.Config(vertexDeletion = vd, initTopK = false))
       val got = out.result.map(c => (c.layers, c.vertices.toSeq)).toSet
       val exp = ExactDCCS.candidates(g, d, s).map(c => (c.layers, c.vertices.toSeq)).toSet
-      assert(got == exp, s"seed=$seed s=$s: TD enumeration mismatch")
+      assert(got == exp, s"seed=$seed s=$s vd=$vd: TD enumeration mismatch")
     }
   }
 

@@ -52,11 +52,17 @@ class SparkGraphSpec extends SparkSpec {
   }
 
   // --- distributed peeling == local peeling --------------------------------
+  // a hub-heavy graph next to the uniform one
+  private lazy val skewed = TestGraphs.zipf(1003, 50, 3, 500)
+  private lazy val skewedEdges = SparkGraph.toDF(spark, skewed).cache()
+
   for (d <- 2 to 3; layers <- Seq(Seq(0), Seq(0, 1), Seq(0, 1, 2))) {
     test(s"dccDF(L=${layers.mkString(",")}, d=$d) equals local Dcc") {
-      val got = SparkGraph.collectVertices(SparkGraph.dccDF(spark, edges, layers, d))
-      val exp = Dcc.compute(g, layers.toArray, d)
-      assert(got.toSeq == exp.toSeq)
+      for ((lg, le) <- Seq((g, edges), (skewed, skewedEdges))) {
+        val got = SparkGraph.collectVertices(SparkGraph.dccDF(spark, le, layers, d))
+        val exp = Dcc.compute(lg, layers.toArray, d)
+        assert(got.toSeq == exp.toSeq)
+      }
     }
   }
 
@@ -113,34 +119,5 @@ class SparkGraphSpec extends SparkSpec {
     val st = Preprocess.vertexDeletion(mg, d, s)
     assert(st.rounds >= 2 && st.active.nonEmpty, s"rounds=${st.rounds}")
     assertVertexDeletionMatches(mg, SparkGraph.toDF(spark, mg), d, s)
-  }
-
-  test("connectedComponentsDF equals local union-find") {
-    val cg = TestGraphs.random(1002, 40, 1, 0.04)
-    val ce = SparkGraph.toDF(spark, cg)
-    val got = SparkGraph.connectedComponentsDF(spark, ce).collect()
-      .map(r => r.getInt(0) -> r.getInt(1)).toMap
-    // local union-find
-    val parent = Array.tabulate(40)(identity)
-    def find(x: Int): Int = { var r = x; while (parent(r) != r) r = parent(r); r }
-    cg.edgeTriples.foreach { case (_, u, v) => parent(find(u)) = find(v) }
-    val localComp = (0 until 40).groupBy(find).values
-      .map(_.toSet).filter(_.exists(v => cg.unionAdj(v).nonEmpty)).toSet
-    val sparkComp = got.groupBy(_._2).values.map(_.keys.toSet).toSet
-    assert(sparkComp == localComp)
-  }
-
-  test("zipfEdges builds a valid skewed multi-layer graph from SynthData") {
-    val ze = SparkGraph.zipfEdges(spark, numLayers = 2, rowsPerLayer = 500, nKeys = 50)
-    assert(ze.filter(col("src") >= col("dst")).count() == 0)
-    assert(ze.select("layer").distinct().count() == 2)
-    // heavy zipf keys should have high degree: max degree >> median
-    val degs = SparkGraph.degrees(ze).select("deg").collect().map(_.getInt(0)).sorted
-    assert(degs.last >= 2 * degs(degs.length / 2),
-      s"expected skew, got max=${degs.last} median=${degs(degs.length / 2)}")
-    // and dccDF still agrees with the local peel on this shape
-    val zg = SparkGraph.toLocal(ze, 2, 50)
-    val got = SparkGraph.collectVertices(SparkGraph.dccDF(spark, ze, Seq(0, 1), 3))
-    assert(got.toSeq == Dcc.compute(zg, Array(0, 1), 3).toSeq)
   }
 }
