@@ -3,19 +3,102 @@ package repro.core
 /** Single-layer d-core `C^d(G_i)` (Batagelj-Zaversnik peel [3]); by
   * definition `C^d(G_i) = C^d_{{i}}(G)`, so this is the one-layer
   * specialization of [[Dcc]].
+  *
+  * Over the whole vertex set the d-cores of every d are nested, so one
+  * core decomposition per layer ([[MLGraph.coreNumbers]]) answers them all:
+  * `C^d(G_i) = { v : core_i(v) ≥ d }`. [[allLayers]] without a subset reads
+  * that threshold; inside a subset it still peels.
   */
 object DCore {
 
-  /** d-core of layer `layer` of `g`, optionally within a vertex subset. */
+  /** d-core of layer `layer` of `g`, optionally within a vertex subset.
+    * Always peels; this is the reference the core numbers are tested
+    * against.
+    */
   def compute(g: MLGraph, layer: Int, d: Int,
               within: Array[Int] = null): Array[Int] =
     Dcc.compute(g, Array(layer), d, within)
 
-  /** d-cores of every layer (within an optional subset); the l peels run
-    * on the common fork-join pool, each into its layer's slot.
+  /** d-cores of every layer, each sorted. With no subset, the threshold
+    * `{ v : g.coreNumbers(i)(v) ≥ d }` (every vertex when d ≤ 0, as in
+    * [[Dcc.compute]]); within a subset, one peel per layer. Either way the
+    * l layers run on the common fork-join pool, each into its own slot.
     */
   def allLayers(g: MLGraph, d: Int, within: Array[Int] = null): Array[Array[Int]] =
-    Par.tabulate(g.numLayers)(i => compute(g, i, d, within))
+    if (within == null) {
+      val cn = g.coreNumbers
+      Par.tabulate(g.numLayers)(i => atLeast(cn(i), d))
+    } else Par.tabulate(g.numLayers)(i => compute(g, i, d, within))
+
+  /** Ids `v` with `core(v) >= d`, ascending. */
+  private def atLeast(core: Array[Int], d: Int): Array[Int] = {
+    var c = 0
+    var v = 0
+    while (v < core.length) { if (core(v) >= d) c += 1; v += 1 }
+    val out = new Array[Int](c)
+    c = 0
+    v = 0
+    while (v < core.length) { if (core(v) >= d) { out(c) = v; c += 1 }; v += 1 }
+    out
+  }
+
+  /** Core number of every vertex on one layer: the largest d with
+    * `v ∈ C^d(G_i)`. Batagelj-Zaversnik bin sort, O(n + m_i): vertices sit
+    * in an array ordered by current degree, `start(k)` marks where degree
+    * `k` begins, and each processed vertex moves every neighbour of higher
+    * degree one bin down.
+    */
+  private[core] def coreNumbers(adj: Array[Array[Int]]): Array[Int] = {
+    val n = adj.length
+    val deg = new Array[Int](n)
+    var maxDeg = 0
+    var v = 0
+    while (v < n) {
+      deg(v) = adj(v).length
+      if (deg(v) > maxDeg) maxDeg = deg(v)
+      v += 1
+    }
+    // start(k): first slot of degree k in `vert`; pos(v): slot of v.
+    val start = new Array[Int](maxDeg + 1)
+    v = 0
+    while (v < n) { start(deg(v)) += 1; v += 1 }
+    var sum = 0
+    var k = 0
+    while (k <= maxDeg) { val c = start(k); start(k) = sum; sum += c; k += 1 }
+    val vert = new Array[Int](n)
+    val pos = new Array[Int](n)
+    v = 0
+    while (v < n) {
+      pos(v) = start(deg(v)); vert(pos(v)) = v; start(deg(v)) += 1
+      v += 1
+    }
+    k = maxDeg // placing moved each start one bin up: move it back
+    while (k > 0) { start(k) = start(k - 1); k -= 1 }
+    start(0) = 0
+
+    var i = 0
+    while (i < n) {
+      val x = vert(i)
+      val ns = adj(x)
+      var j = 0
+      while (j < ns.length) {
+        val u = ns(j)
+        if (deg(u) > deg(x)) {
+          // swap u with the first vertex of its bin, then shrink that bin
+          val du = deg(u)
+          val pu = pos(u)
+          val pw = start(du)
+          val w = vert(pw)
+          pos(u) = pw; vert(pu) = w; pos(w) = pu; vert(pw) = u
+          start(du) += 1
+          deg(u) = du - 1
+        }
+        j += 1
+      }
+      i += 1
+    }
+    deg
+  }
 
   /** Support number Num(v) = |{ i : v ∈ C^d(G_i) }| for every vertex,
     * given precomputed per-layer cores.

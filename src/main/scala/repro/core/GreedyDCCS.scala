@@ -45,7 +45,8 @@ object GreedyDCCS {
     }
 
     val (picked, cover) = select(candidates, k)
-    // one dCC call per layer per preprocessing round, one per candidate
+    // l layer d-cores per preprocessing round (round 1 reads them from the
+    // core numbers, later rounds peel them), one dCC call per candidate
     Output(picked, cover,
       Stats(g.numLayers * pre.rounds + combos.length, candidates.length,
             (System.nanoTime() - t0) / 1000000L))

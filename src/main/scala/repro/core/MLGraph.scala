@@ -42,15 +42,16 @@ final class MLGraph private (
     out
   }
 
+  /** `coreNumbers(i)(v)`: the largest d with `v ∈ C^d(G_i)` (0 for a vertex
+    * isolated on layer i). One Batagelj-Zaversnik decomposition per layer,
+    * run on first use on the common fork-join pool; l·n ints for the
+    * graph's lifetime.
+    */
+  lazy val coreNumbers: Array[Array[Int]] =
+    Par.tabulate(numLayers)(i => DCore.coreNumbers(adj(i)))
+
   /** Number of distinct undirected edges across all layers. */
   def unionEdgeCount: Long = unionAdj.iterator.map(_.length.toLong).sum / 2
-
-  /** Graph with layers reordered so new layer `p` is old layer `order(p)`. */
-  def permuteLayers(order: Array[Int]): MLGraph = {
-    require(order.length == numLayers && order.toSet == (0 until numLayers).toSet,
-      s"order must be a permutation of 0..${numLayers - 1}")
-    new MLGraph(numLayers, numVertices, order.map(adj))
-  }
 
   /** Multi-layer subgraph keeping only the given layers (in given order). */
   def selectLayers(layers: Seq[Int]): MLGraph =

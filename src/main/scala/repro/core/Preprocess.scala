@@ -7,6 +7,10 @@ package repro.core
   * d-cores after each removal round, until stable. Such vertices cannot
   * appear in any d-CC with |L| = s (Property 3 / Lemma 1), so this shrinks
   * the search graph without affecting any algorithm's output.
+  *
+  * Round 1 covers the whole graph, so its l d-cores are thresholds of the
+  * graph's cached [[MLGraph.coreNumbers]] (no peel after the first query
+  * on a graph); every later round peels each layer inside the survivors.
   */
 object Preprocess {
 
@@ -25,7 +29,7 @@ object Preprocess {
     */
   def vertexDeletion(g: MLGraph, d: Int, s: Int, enabled: Boolean = true): State = {
     var active = Array.range(0, g.numVertices)
-    var cores  = DCore.allLayers(g, d, active)
+    var cores  = DCore.allLayers(g, d)
     var rounds = 1
     if (!enabled) return State(active, cores, rounds)
     var changed = true

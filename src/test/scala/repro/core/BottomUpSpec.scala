@@ -87,6 +87,39 @@ class BottomUpSpec extends AnyFunSuite {
     assert(out.coverSize == exp.length)
   }
 
+  /** BU's answer as a set of (layers, vertices), checked against
+    * `ExactDCCS`, with `dccCalls` bounded by a polynomial in l: the
+    * preprocessing peels, InitTopK's k, and at most 2·l² in the tree.
+    */
+  private def buMatchesExact(g: MLGraph, d: Int, s: Int, k: Int): Unit = {
+    val l = g.numLayers
+    val exact = ExactDCCS.candidates(g, d, s)
+    assert(exact.length < k || s == l)
+    for ((cfgName, cfg) <- configs) {
+      val out = BottomUpDCCS.run(g, d, s, k, cfg)
+      val got = out.result.map(c => (c.layers, c.vertices.toSeq)).toSet
+      assert(got == exact.map(c => (c.layers, c.vertices.toSeq)).toSet, cfgName)
+      assert(out.coverSize == ExactDCCS.bestCover(exact, k)._2, cfgName)
+      val rounds = Preprocess.vertexDeletion(g, d, s, cfg.vertexDeletion).rounds
+      assert(out.stats.dccCalls <= l * rounds + k + 2 * l * l,
+        s"$cfgName: ${out.stats.dccCalls} dCC calls at l=$l s=$s k=$k")
+    }
+  }
+
+  test("s = l returns the one candidate with dccCalls polynomial in l") {
+    for (seed <- 1 to 3) {
+      val g = TestGraphs.withPlantedClique(550 + seed, 30, 14, 0.1, 0 until 6, 0 until 14)
+      buMatchesExact(g, 2, 14, 3)
+    }
+  }
+
+  test("C(l,s) < k returns every candidate with dccCalls polynomial in l") {
+    for (seed <- 1 to 3) {
+      val g = TestGraphs.withPlantedClique(560 + seed, 30, 14, 0.15, 0 until 6, 0 until 12)
+      buMatchesExact(g, 2, 13, 20) // C(14,13) = 14 < 20
+    }
+  }
+
   test("empty graph is handled") {
     val out = BottomUpDCCS.run(MLGraph.empty(3, 8), 1, 2, 2)
     assert(out.coverSize == 0)

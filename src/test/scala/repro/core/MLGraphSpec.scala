@@ -46,17 +46,6 @@ class MLGraphSpec extends AnyFunSuite {
     assert(g.unionEdgeCount == 6) // (0,1),(1,2),(0,2),(3,4),(2,3),(0,3)
   }
 
-  test("permuteLayers reorders layers") {
-    val g = TestGraphs.tiny
-    val p = g.permuteLayers(Array(1, 0))
-    assert(p.neighbors(0, 3).toSeq == g.neighbors(1, 3).toSeq)
-    assert(p.neighbors(1, 4).toSeq == g.neighbors(0, 4).toSeq)
-  }
-
-  test("permuteLayers rejects non-permutations") {
-    intercept[IllegalArgumentException](TestGraphs.tiny.permuteLayers(Array(0, 0)))
-  }
-
   test("selectLayers keeps requested layers in order") {
     val g = TestGraphs.random(3, 20, 5, 0.2)
     val sel = g.selectLayers(Seq(4, 1))
