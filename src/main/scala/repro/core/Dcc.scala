@@ -97,22 +97,4 @@ object Dcc {
     while (i < a.length) { if (a(i - 1) >= a(i)) return false; i += 1 }
     true
   }
-
-  /** Naive fixpoint reference (tests): repeatedly drop any vertex with a
-    * sub-d degree on some layer of `L`, recomputing from scratch each round.
-    */
-  def naive(g: MLGraph, layers: Array[Int], d: Int,
-            within: Array[Int] = null): Array[Int] = {
-    var cur: Set[Int] =
-      (if (within == null) Array.range(0, g.numVertices) else within).toSet
-    var changed = true
-    while (changed) {
-      changed = false
-      val bad = cur.filter { v =>
-        layers.exists(l => g.neighbors(l, v).count(cur.contains) < d)
-      }
-      if (bad.nonEmpty) { cur = cur -- bad; changed = true }
-    }
-    cur.toArray.sorted
-  }
 }

@@ -13,18 +13,11 @@ object GreedyDCCS {
                          candidatesGenerated: Int,
                          totalMillis: Long)
 
-  final case class Output(result: Vector[Core], coverSize: Int, stats: Stats) {
-    def coverSet: Array[Int] = {
-      val bs = new java.util.BitSet()
-      result.foreach(_.vertices.foreach(bs.set))
-      Iterator.iterate(bs.nextSetBit(0))(i => bs.nextSetBit(i + 1))
-        .takeWhile(_ >= 0).toArray
-    }
-  }
+  /** The result type of all three algorithms. */
+  final case class Output(result: Vector[Core], coverSize: Int, stats: Stats)
 
   def run(g: MLGraph, d: Int, s: Int, k: Int): Output = {
-    require(s >= 1 && s <= g.numLayers, s"s=$s out of range 1..${g.numLayers}")
-    require(k >= 1, "k must be >= 1")
+    Search.check(g, s, k)
     val t0 = System.nanoTime()
 
     // Lines 1-3 + preprocessing: per-layer d-cores (on the pruned graph).

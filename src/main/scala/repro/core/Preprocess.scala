@@ -20,9 +20,7 @@ object Preprocess {
     */
   final case class State(active: Array[Int],
                          layerCores: Array[Array[Int]],
-                         rounds: Int) {
-    def num(numVertices: Int): Array[Int] = DCore.supportNum(numVertices, layerCores)
-  }
+                         rounds: Int)
 
   /** Run vertex deletion; with `enabled = false` just computes the per-layer
     * d-cores once (the algorithms still need them).

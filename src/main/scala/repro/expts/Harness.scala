@@ -39,12 +39,7 @@ object Experiments {
     synchronized { cache.getOrElseUpdate(name, MLSynth.preset(name)) }
 
   def runAlgo(algo: String, name: String, g: MLGraph, d: Int, s: Int, k: Int): Run = {
-    val out = algo match {
-      case "GD" => GreedyDCCS.run(g, d, s, k)
-      case "BU" => BottomUpDCCS.run(g, d, s, k)
-      case "TD" => TopDownDCCS.run(g, d, s, k)
-      case other => sys.error(s"unknown algorithm $other")
-    }
+    val out = Algo(algo).run(g, d, s, k)
     Run(algo, name, d, s, k, out.stats.totalMillis, out.stats.dccCalls,
         out.stats.candidatesGenerated, out.coverSize, out.result)
   }
@@ -113,19 +108,16 @@ object Experiments {
   def ablation(name: String, algo: String, s: Int,
                d: Int = DefaultD, k: Int = DefaultK): Seq[Ablation] = {
     val g = dataset(name).graph
-    def bu(vd: Boolean, sl: Boolean, ir: Boolean) =
-      BottomUpDCCS.run(g, d, s, k, BottomUpDCCS.Config(vd, sl, ir))
-    def td(vd: Boolean, sl: Boolean, ir: Boolean) =
-      TopDownDCCS.run(g, d, s, k, TopDownDCCS.Config(vd, sl, ir))
     val variants = Seq(
-      ("Full",   (true,  true,  true)),
-      ("No-VD",  (false, true,  true)),
-      ("No-SL",  (true,  false, true)),
-      ("No-IR",  (true,  true,  false)),
-      ("No-Pre", (false, false, false)),
+      ("Full",   Search.Config()),
+      ("No-VD",  Search.Config(vertexDeletion = false)),
+      ("No-SL",  Search.Config(sortLayers = false)),
+      ("No-IR",  Search.Config(initTopK = false)),
+      ("No-Pre", Search.Config(false, false, false)),
     )
-    variants.map { case (label, (vd, sl, ir)) =>
-      val out = if (algo == "BU") bu(vd, sl, ir) else td(vd, sl, ir)
+    variants.map { case (label, cfg) =>
+      val out =
+        if (algo == "BU") BottomUpDCCS.run(g, d, s, k, cfg) else TopDownDCCS.run(g, d, s, k, cfg)
       Ablation(label, out.stats.totalMillis, out.stats.dccCalls, out.coverSize)
     }
   }

@@ -68,19 +68,13 @@ object MiMAG {
     val inQ = new java.util.BitSet(n)
     val inQC = new java.util.BitSet(n) // Q ∪ cand
 
-    def degreeIn(layer: Int, v: Int, set: java.util.BitSet): Int = {
-      var c = 0
-      g.neighbors(layer, v).foreach(u => if (set.get(u)) c += 1)
-      c
-    }
-
     /** Layers on which every member of Q could still reach the degree
       * required at the minimum final size, given extension scope Q ∪ cand.
       */
     def feasibleLayers(q: List[Int], candAndQ: java.util.BitSet): Array[Int] = {
       val need = QuasiClique.requiredDegree(gamma, math.max(q.length, minSize))
       (0 until g.numLayers).filter { li =>
-        q.forall(v => degreeIn(li, v, candAndQ) >= need)
+        q.forall(v => QuasiClique.degreeWithin(g, li, v, candAndQ) >= need)
       }.toArray
     }
 
@@ -135,7 +129,7 @@ object MiMAG {
       if (q.nonEmpty && feas.length < minSupport) return
       val need = QuasiClique.requiredDegree(gamma, math.max(q.length + 1, minSize))
       val viable = cand.filter { w =>
-        feas.count(li => degreeIn(li, w, inQC) >= need) >= minSupport
+        feas.count(li => QuasiClique.degreeWithin(g, li, w, inQC) >= need) >= minSupport
       }
       if (qArr.length + viable.length < minSize) return
 

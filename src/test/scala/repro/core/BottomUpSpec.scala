@@ -6,11 +6,11 @@ import repro.TestGraphs
 class BottomUpSpec extends AnyFunSuite {
 
   private val configs = Seq(
-    ("full", BottomUpDCCS.Config()),
-    ("no-vd", BottomUpDCCS.Config(vertexDeletion = false)),
-    ("no-sl", BottomUpDCCS.Config(sortLayers = false)),
-    ("no-ir", BottomUpDCCS.Config(initTopK = false)),
-    ("no-pre", BottomUpDCCS.Config(false, false, false)),
+    ("full", Search.Config()),
+    ("no-vd", Search.Config(vertexDeletion = false)),
+    ("no-sl", Search.Config(sortLayers = false)),
+    ("no-ir", Search.Config(initTopK = false)),
+    ("no-pre", Search.Config(false, false, false)),
   )
 
   for (seed <- 1 to 5; (cfgName, cfg) <- configs.take(if (seed <= 2) 5 else 1)) {
@@ -34,7 +34,7 @@ class BottomUpSpec extends AnyFunSuite {
       val d = 2
       val nCand = (0 until 4).combinations(s).size
       val out = BottomUpDCCS.run(g, d, s, nCand,
-        BottomUpDCCS.Config(initTopK = false))
+        Search.Config(initTopK = false))
       val got = out.result.map(c => (c.layers, c.vertices.toSeq)).toSet
       val exp = ExactDCCS.candidates(g, d, s).map(c => (c.layers, c.vertices.toSeq)).toSet
       assert(got == exp, s"seed=$seed s=$s: BU enumeration mismatch")

@@ -11,7 +11,7 @@ class PreprocessSpec extends AnyFunSuite {
 
     test(s"survivors all have Num(v) >= s (seed=$seed)") {
       val st = Preprocess.vertexDeletion(g, d, s)
-      val num = st.num(g.numVertices)
+      val num = DCore.supportNum(g.numVertices, st.layerCores)
       st.active.foreach(v => assert(num(v) >= s))
     }
 
@@ -91,7 +91,7 @@ class PreprocessSpec extends AnyFunSuite {
   test("with s = 1, only core-less vertices are deleted") {
     val g = TestGraphs.random(201, 25, 3, 0.2)
     val st = Preprocess.vertexDeletion(g, 2, 1)
-    val num = st.num(g.numVertices)
+    val num = DCore.supportNum(g.numVertices, st.layerCores)
     st.active.foreach(v => assert(num(v) >= 1))
   }
 

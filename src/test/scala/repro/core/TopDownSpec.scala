@@ -6,11 +6,11 @@ import repro.TestGraphs
 class TopDownSpec extends AnyFunSuite {
 
   private val configs = Seq(
-    ("full", TopDownDCCS.Config()),
-    ("no-vd", TopDownDCCS.Config(vertexDeletion = false)),
-    ("no-sl", TopDownDCCS.Config(sortLayers = false)),
-    ("no-ir", TopDownDCCS.Config(initTopK = false)),
-    ("no-pre", TopDownDCCS.Config(false, false, false)),
+    ("full", Search.Config()),
+    ("no-vd", Search.Config(vertexDeletion = false)),
+    ("no-sl", Search.Config(sortLayers = false)),
+    ("no-ir", Search.Config(initTopK = false)),
+    ("no-pre", Search.Config(false, false, false)),
   )
 
   for (seed <- 1 to 5; (cfgName, cfg) <- configs.take(if (seed <= 2) 5 else 1)) {
@@ -37,7 +37,7 @@ class TopDownSpec extends AnyFunSuite {
       val d = 2
       val nCand = (0 until 4).combinations(s).size
       val out = TopDownDCCS.run(g, d, s, nCand,
-        TopDownDCCS.Config(vertexDeletion = vd, initTopK = false))
+        Search.Config(vertexDeletion = vd, initTopK = false))
       val got = out.result.map(c => (c.layers, c.vertices.toSeq)).toSet
       val exp = ExactDCCS.candidates(g, d, s).map(c => (c.layers, c.vertices.toSeq)).toSet
       assert(got == exp, s"seed=$seed s=$s vd=$vd: TD enumeration mismatch")
@@ -49,7 +49,7 @@ class TopDownSpec extends AnyFunSuite {
       val g = TestGraphs.random(620 + seed, 18, 5, 0.3)
       val d = 3; val s = 3
       val nCand = (0 until 5).combinations(s).size
-      val out = TopDownDCCS.run(g, d, s, nCand, TopDownDCCS.Config(initTopK = false))
+      val out = TopDownDCCS.run(g, d, s, nCand, Search.Config(initTopK = false))
       val got = out.result.map(c => (c.layers, c.vertices.toSeq)).toSet
       val exp = ExactDCCS.candidates(g, d, s).map(c => (c.layers, c.vertices.toSeq)).toSet
       assert(got == exp)

@@ -9,45 +9,38 @@ class SparkDCCSSpec extends SparkSpec {
   private lazy val g = TestGraphs.random(1100, 35, 4, 0.15)
   private lazy val edges = SparkGraph.toDF(spark, g).cache()
 
+  // The default parameters plus the edge cases d = 0 (every vertex in every
+  // core locally; Spark's vertex deletion may drop vertices with edges on
+  // few layers), s = 1, s = l and k > C(l, s).
+  private def params(d: Int, s: Int, k: Int): Seq[(Int, Int, Int)] =
+    Seq((d, s, k), (2, 2, 3), (0, 2, 3), (1, 1, 3), (1, g.numLayers, 3), (2, 3, 10)).distinct
+
+  private def engineAgreement(algo: Algo, d: Int, s: Int, k: Int): Unit =
+    for ((d, s, k) <- params(d, s, k)) {
+      val sp = SparkDCCS.run(spark, edges, g.numLayers, g.numVertices, algo, d, s, k)
+      val lo = algo.run(g, d, s, k)
+      assert(sp.result.map(c => (c.layers, c.vertices.toSeq)) ==
+             lo.result.map(c => (c.layers, c.vertices.toSeq)), s"d=$d s=$s k=$k")
+      assert(sp.coverSize == lo.coverSize, s"d=$d s=$s k=$k")
+    }
+
   test("distributed-preprocessed GD matches local GD exactly") {
-    val sp = SparkDCCS.run(spark, edges, g.numLayers, g.numVertices, SparkDCCS.GD, 2, 2, 3)
-    val lo = GreedyDCCS.run(g, 2, 2, 3)
-    assert(sp.result.map(c => (c.layers, c.vertices.toSeq)) ==
-           lo.result.map(c => (c.layers, c.vertices.toSeq)))
-    assert(sp.coverSize == lo.coverSize)
+    engineAgreement(Algo.GD, 2, 2, 3)
   }
 
   test("distributed-preprocessed BU matches local BU exactly") {
-    val sp = SparkDCCS.run(spark, edges, g.numLayers, g.numVertices, SparkDCCS.BU, 2, 2, 3)
-    val lo = BottomUpDCCS.run(g, 2, 2, 3)
-    assert(sp.result.map(c => (c.layers, c.vertices.toSeq)) ==
-           lo.result.map(c => (c.layers, c.vertices.toSeq)))
-    assert(sp.coverSize == lo.coverSize)
+    engineAgreement(Algo.BU, 2, 2, 3)
   }
 
   test("distributed-preprocessed TD matches local TD exactly") {
-    val sp = SparkDCCS.run(spark, edges, g.numLayers, g.numVertices, SparkDCCS.TD, 2, 3, 3)
-    val lo = TopDownDCCS.run(g, 2, 3, 3)
-    assert(sp.result.map(c => (c.layers, c.vertices.toSeq)) ==
-           lo.result.map(c => (c.layers, c.vertices.toSeq)))
-    assert(sp.coverSize == lo.coverSize)
-  }
-
-  test("fully-distributed greedy equals local greedy") {
-    val small = TestGraphs.random(1101, 25, 3, 0.2)
-    val se = SparkGraph.toDF(spark, small)
-    val sp = SparkDCCS.greedyDistributed(spark, se, small.numLayers, 2, 2, 3)
-    val lo = GreedyDCCS.run(small, 2, 2, 3)
-    assert(sp.result.map(c => (c.layers, c.vertices.toSeq)) ==
-           lo.result.map(c => (c.layers, c.vertices.toSeq)))
-    assert(sp.coverSize == lo.coverSize)
+    engineAgreement(Algo.TD, 2, 3, 3)
   }
 
   test("end-to-end on the ppi preset: distributed BU equals local BU") {
     val gen = MLSynth.preset("ppi")
     val pe = SparkGraph.toDF(spark, gen.graph)
     val l = gen.graph.numLayers
-    val sp = SparkDCCS.run(spark, pe, l, gen.graph.numVertices, SparkDCCS.BU, 4, 3, 10)
+    val sp = SparkDCCS.run(spark, pe, l, gen.graph.numVertices, Algo.BU, 4, 3, 10)
     val lo = BottomUpDCCS.run(gen.graph, 4, 3, 10)
     assert(sp.coverSize == lo.coverSize)
     assert(sp.result.map(_.layers).toSet == lo.result.map(_.layers).toSet)
