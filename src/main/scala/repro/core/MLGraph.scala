@@ -28,19 +28,14 @@ final class MLGraph private (
   /** Sum of per-layer edge counts (an edge on two layers counts twice). */
   def totalEdgeCount: Long = (0 until numLayers).map(edgeCount).sum
 
-  /** Union adjacency across all layers (distinct neighbors on any layer). */
-  lazy val unionAdj: Array[Array[Int]] = {
-    val out = new Array[Array[Int]](numVertices)
-    var v = 0
-    while (v < numVertices) {
-      val set = mutable.SortedSet.empty[Int]
-      var i = 0
-      while (i < numLayers) { adj(i)(v).foreach(set += _); i += 1 }
-      out(v) = set.toArray
-      v += 1
+  /** Union adjacency across all layers (distinct neighbors on any layer),
+    * each list sorted: the l sorted lists of a vertex merged one by one.
+    */
+  lazy val unionAdj: Array[Array[Int]] =
+    Array.tabulate(numVertices) { v =>
+      (0 until numLayers).foldLeft(Array.emptyIntArray)((acc, i) =>
+        SetOps.union(acc, adj(i)(v)))
     }
-    out
-  }
 
   /** `coreNumbers(i)(v)`: the largest d with `v ∈ C^d(G_i)` (0 for a vertex
     * isolated on layer i). One Batagelj-Zaversnik decomposition per layer,
@@ -58,23 +53,39 @@ final class MLGraph private (
     new MLGraph(layers.length, numVertices, layers.map(adj).toArray)
 
   /** Induced subgraph on `vertices` with ids re-densified to 0..m-1.
-    * Returns the subgraph and the old-id of each new id.
+    * Returns the subgraph and the old-id of each new id. The relabelling is
+    * monotone, so filtering each sorted list keeps it sorted; the layers are
+    * built on the common fork-join pool, each into its own slot.
     */
   def induced(vertices: Array[Int]): (MLGraph, Array[Int]) = {
     val old = vertices.sorted.distinct
-    val newId = new mutable.HashMap[Int, Int]()
-    old.iterator.zipWithIndex.foreach { case (o, i) => newId(o) = i }
-    val edges = mutable.ArrayBuffer.empty[(Int, Int, Int)]
-    var li = 0
-    while (li < numLayers) {
-      old.foreach { u =>
-        adj(li)(u).foreach { w =>
-          if (u < w && newId.contains(w)) edges += ((li, newId(u), newId(w)))
+    val m = old.length
+    // newId(v) = 1 + new id of v, 0 outside the subset
+    val newId = new Array[Int](numVertices)
+    var x = 0
+    while (x < m) { newId(old(x)) = x + 1; x += 1 }
+    val sub = Par.tabulate(numLayers) { li =>
+      val lists = adj(li)
+      Array.tabulate(m) { x =>
+        val ns = lists(old(x))
+        var c = 0
+        var j = 0
+        while (j < ns.length) { if (newId(ns(j)) != 0) c += 1; j += 1 }
+        if (c == 0) Array.emptyIntArray
+        else {
+          val out = new Array[Int](c)
+          c = 0
+          j = 0
+          while (j < ns.length) {
+            val y = newId(ns(j))
+            if (y != 0) { out(c) = y - 1; c += 1 }
+            j += 1
+          }
+          out
         }
       }
-      li += 1
     }
-    (MLGraph.fromEdges(numLayers, old.length, edges), old)
+    (new MLGraph(numLayers, m, sub), old)
   }
 
   /** All undirected edges as (layer, u, v) with u < v. */

@@ -107,6 +107,12 @@ object Experiments {
 
   def ablation(name: String, algo: String, s: Int,
                d: Int = DefaultD, k: Int = DefaultK): Seq[Ablation] = {
+    val search: (MLGraph, Int, Int, Int, Search.Config) => GreedyDCCS.Output = algo match {
+      case "BU" => BottomUpDCCS.run
+      case "TD" => TopDownDCCS.run
+      case other =>
+        throw new IllegalArgumentException(s"ablation runs \"BU\" or \"TD\", not \"$other\"")
+    }
     val g = dataset(name).graph
     val variants = Seq(
       ("Full",   Search.Config()),
@@ -116,8 +122,7 @@ object Experiments {
       ("No-Pre", Search.Config(false, false, false)),
     )
     variants.map { case (label, cfg) =>
-      val out =
-        if (algo == "BU") BottomUpDCCS.run(g, d, s, k, cfg) else TopDownDCCS.run(g, d, s, k, cfg)
+      val out = search(g, d, s, k, cfg)
       Ablation(label, out.stats.totalMillis, out.stats.dccCalls, out.coverSize)
     }
   }

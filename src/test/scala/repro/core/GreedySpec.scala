@@ -134,6 +134,33 @@ class GreedySpec extends AnyFunSuite {
     }
   }
 
+  test("GD on survivors with high ids equals the sequential answer") {
+    // ids 0..n/2 are isolated, so every survivor's local id in G[A] differs
+    // from its id in g
+    for (seed <- 1 to 3) {
+      val base = TestGraphs.random(460 + seed, 60, 5, 0.15)
+      val g = MLGraph.fromEdges(5, 120, base.edgeTriples.map { case (li, u, v) =>
+        (li, u + 60, v + 60)
+      })
+      for ((d, s, k) <- Seq((2, 2, 4), (3, 3, 5), (1, 4, 10), (2, 5, 1))) {
+        val out = GreedyDCCS.run(g, d, s, k)
+        assert(answer(out) == sequentialGD(g, d, s, k), s"seed=$seed d=$d s=$s k=$k")
+        out.result.foreach(c => assert(c.vertices.forall(_ >= 60)))
+      }
+    }
+  }
+
+  test("ties on gain over 560 candidates break as in a sequential GD") {
+    // 16 layers, s = 3: C(16, 3) = 560 candidates, enough that each round's
+    // gains are split over several pool workers
+    val g = replicated(470, 50, 8, 0.15)
+    for ((d, k) <- Seq((2, 5), (2, 40), (1, 600))) {
+      val out = GreedyDCCS.run(g, d, 3, k)
+      assert(out.stats.candidatesGenerated == 560)
+      assert(answer(out) == sequentialGD(g, d, 3, k), s"d=$d k=$k")
+    }
+  }
+
   test("GD from 4 threads at once on one shared graph equals the sequential answer") {
     val g = TestGraphs.random(430, 80, 6, 0.1)
     val params = Vector((2, 2, 5), (2, 3, 4), (3, 2, 3), (1, 4, 6))

@@ -123,6 +123,80 @@ class MLGraphSpec extends AnyFunSuite {
     }
   }
 
+  // Reference: the HashMap + fromEdges body `induced` had before it was
+  // rebuilt over an id array.
+  private def inducedViaEdges(g: MLGraph, vertices: Array[Int]): (MLGraph, Array[Int]) = {
+    val old = vertices.sorted.distinct
+    val newId = new mutable.HashMap[Int, Int]()
+    old.iterator.zipWithIndex.foreach { case (o, i) => newId(o) = i }
+    val edges = mutable.ArrayBuffer.empty[(Int, Int, Int)]
+    var li = 0
+    while (li < g.numLayers) {
+      old.foreach { u =>
+        g.adj(li)(u).foreach { w =>
+          if (u < w && newId.contains(w)) edges += ((li, newId(u), newId(w)))
+        }
+      }
+      li += 1
+    }
+    (MLGraph.fromEdges(g.numLayers, old.length, edges), old)
+  }
+
+  /** A random graph over `l` layers (one of them empty) with isolated
+    * vertices.
+    */
+  private def randomWithGaps(rng: Random, l: Int): MLGraph = {
+    val n = 1 + rng.nextInt(60)
+    val emptyLayer = rng.nextInt(l)
+    val ends = (0 until n).filter(_ => rng.nextDouble() >= 0.2)
+    val edges = if (ends.isEmpty) Seq.empty else Seq.fill(rng.nextInt(8 * n)) {
+      val li = rng.nextInt(l)
+      (if (li == emptyLayer) (li + 1) % l else li,
+       ends(rng.nextInt(ends.length)), ends(rng.nextInt(ends.length)))
+    }
+    MLGraph.fromEdges(l, n, edges)
+  }
+
+  private def sameGraph(a: MLGraph, b: MLGraph): Boolean =
+    a.numLayers == b.numLayers && a.numVertices == b.numVertices &&
+      (0 until a.numLayers).forall(li =>
+        (0 until a.numVertices).forall(v => a.adj(li)(v).sameElements(b.adj(li)(v))))
+
+  for (seed <- 1 to 8) {
+    test(s"induced equals the HashMap + fromEdges reference (seed=$seed)") {
+      val rng = new Random(300 + seed)
+      val l = 1 + rng.nextInt(if (seed > 4) 16 else 4)
+      val g = randomWithGaps(rng, l)
+      val n = g.numVertices
+      val some = Array.fill(rng.nextInt(2 * n + 1))(rng.nextInt(n)) // unsorted, repeats
+      for (vs <- Seq(some, some.sorted.distinct, Array.emptyIntArray,
+                     Array.range(0, n), Array.range(0, n).reverse)) {
+        val (sub, old) = g.induced(vs)
+        val (ref, refOld) = inducedViaEdges(g, vs)
+        assert(old.sameElements(refOld))
+        assert(sameGraph(sub, ref), s"vertices ${vs.toSeq}")
+      }
+      assert(sameGraph(g.induced(Array.range(0, n))._1, g))
+    }
+  }
+
+  // Reference: the one-SortedSet-per-vertex builder unionAdj used before.
+  private def sortedSetUnion(g: MLGraph): Array[Array[Int]] =
+    Array.tabulate(g.numVertices) { v =>
+      val set = mutable.SortedSet.empty[Int]
+      (0 until g.numLayers).foreach(li => g.adj(li)(v).foreach(set += _))
+      set.toArray
+    }
+
+  for (seed <- 1 to 8) {
+    test(s"unionAdj equals a SortedSet union of the layers (seed=$seed)") {
+      val rng = new Random(500 + seed)
+      val g = randomWithGaps(rng, 1 + rng.nextInt(8))
+      val ref = sortedSetUnion(g)
+      (0 until g.numVertices).foreach(v => assert(g.unionAdj(v).sameElements(ref(v)), s"vertex $v"))
+    }
+  }
+
   test("fromEdges validates layer and vertex bounds") {
     intercept[IllegalArgumentException](MLGraph.fromEdges(1, 3, Seq((1, 0, 1))))
     intercept[IllegalArgumentException](MLGraph.fromEdges(1, 3, Seq((0, 0, 3))))

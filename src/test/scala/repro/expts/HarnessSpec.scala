@@ -62,6 +62,11 @@ class HarnessSpec extends AnyFunSuite {
     abl.foreach(a => assert(a.cover >= 0))
   }
 
+  test("ablation rejects algorithms other than BU and TD") {
+    intercept[IllegalArgumentException](Experiments.ablation("ppi", "GD", s = 3))
+    intercept[IllegalArgumentException](Experiments.ablation("ppi", "bu", s = 3))
+  }
+
   test("runAlgo rejects unknown algorithms") {
     intercept[RuntimeException](
       Experiments.runAlgo("XX", "ppi", Experiments.dataset("ppi").graph, 2, 2, 2))
