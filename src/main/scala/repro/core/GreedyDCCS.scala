@@ -7,6 +7,14 @@ package repro.core
   * candidates are peeled on the induced subgraph G[A] (local ids) and only
   * the picked cores are mapped back to the ids of `g`.
   *
+  * A candidate whose Lemma-1 bound `B = ∩_{i∈L} C_i` is as large as each
+  * of its layer cores is its own d-CC, unpeeled: `B ⊆ C_i`, so
+  * `|B| = |C_i|` means `B = C_i`, which is d-dense on layer i; dense on
+  * every layer of L, B is the d-CC, the largest such set inside the bound.
+  * Such a candidate costs O(s) compares, and G[A] is built only when some
+  * layer core is smaller than A, so that a candidate may need a peel.
+  * `dccCalls` still counts one d-CC evaluation per candidate.
+  *
   * Selection is the paper's O(k·|F|·n) scan on purpose — the k-scaling
   * behaviour of GD-DCCS in Fig. 22/23 comes from exactly this term. Each
   * round computes the |F| gains on the common fork-join pool.
@@ -31,18 +39,23 @@ object GreedyDCCS {
     // Lines 4-7 on G[A]: every layer core and every candidate lies inside
     // the survivors A, so peel there (g itself when nothing was deleted).
     // One candidate per layer subset of size s, computed inside the
-    // intersection bound of Lemma 1. The peels run on the common fork-join
-    // pool, each into its combination's slot, so selection sees the
-    // enumeration order.
-    val (sub, ids) =
-      if (pre.active.length == g.numVertices) (g, null) else g.induced(pre.active)
+    // intersection bound of Lemma 1; a bound as large as each of its layer
+    // cores is that d-CC (see above), so G[A] is built (`sub` non-null) only
+    // if some layer core is smaller than A. The candidates run on the common
+    // fork-join pool, each into its combination's slot, so selection sees
+    // the enumeration order.
+    val ids = if (pre.active.length == g.numVertices) null else pre.active
     val cores = if (ids == null) pre.layerCores else pre.layerCores.map(toLocal(_, ids))
+    val sub =
+      if (ids == null) g
+      else if (cores.forall(_.length == ids.length)) null
+      else g.induced(ids)._1
     val combos = (0 until g.numLayers).combinations(s).toArray
     val candidates = Par.tabulate(combos.length) { c =>
       val combo = combos(c)
       val bound = SetOps.intersectAll(combo.map(cores))
       val cc =
-        if (bound.isEmpty) Array.empty[Int]
+        if (bound.isEmpty || combo.forall(cores(_).length == bound.length)) bound
         else Dcc.compute(sub, combo.toArray, d, bound)
       Core(combo.toVector, cc)
     }

@@ -102,10 +102,10 @@ object TopDownDCCS {
       }
     }
 
-    // Lines 4-5: root core + search.
+    // Lines 4-5: the root's d-CC is a candidate only when s = l; below
+    // that, TD-Gen starts from the survivors and never reads it.
     val allPos = (0 until l).toList
-    val cRoot = peel(allPos, search.pre.active)
-    if (s == l) offer(allPos, cRoot)
+    if (s == l) offer(allPos, peel(allPos, search.pre.active))
     else tdGen(allPos, search.pre.active)
     search.output
   }

@@ -13,17 +13,26 @@ class GreedySpec extends AnyFunSuite {
     * Returns (layers, vertices) of each pick and the cover size.
     */
   private def sequentialGD(g: MLGraph, d: Int, s: Int,
-                           k: Int): (Vector[(Vector[Int], Seq[Int])], Int) = {
+                           k: Int): (Vector[(Vector[Int], Seq[Int])], Int) =
+    sequentialRun(g, d, s, k)._1
+
+  /** [[sequentialGD]]'s answer with the `dccCalls` and
+    * `candidatesGenerated` GD reports: l peels per deletion round plus one
+    * per candidate, every candidate peeled.
+    */
+  private def sequentialRun(g: MLGraph, d: Int, s: Int, k: Int)
+      : ((Vector[(Vector[Int], Seq[Int])], Int), Int, Int) = {
     def coresWithin(active: Array[Int]) =
       Array.tabulate(g.numLayers)(i => DCore.compute(g, i, d, active))
     var active = Array.range(0, g.numVertices)
     var cores = coresWithin(active)
+    var rounds = 1
     var stable = false
     while (!stable) {
       val num = DCore.supportNum(g.numVertices, cores)
       val keep = active.filter(num(_) >= s)
       if (keep.length == active.length) stable = true
-      else { active = keep; cores = coresWithin(active) }
+      else { active = keep; cores = coresWithin(active); rounds += 1 }
     }
     val cands = (0 until g.numLayers).combinations(s).map { combo =>
       val bound = SetOps.intersectAll(combo.map(cores))
@@ -31,6 +40,7 @@ class GreedySpec extends AnyFunSuite {
         (if (bound.isEmpty) Seq.empty[Int]
          else Dcc.compute(g, combo.toArray, d, bound).toSeq)
     }.to(mutable.ArrayBuffer)
+    val nCands = cands.length
     val covered = mutable.Set.empty[Int]
     val picked = Vector.newBuilder[(Vector[Int], Seq[Int])]
     for (_ <- 1 to k if cands.nonEmpty) {
@@ -39,11 +49,32 @@ class GreedySpec extends AnyFunSuite {
       covered ++= best._2
       picked += best
     }
-    (picked.result(), covered.size)
+    ((picked.result(), covered.size), g.numLayers * rounds + nCands, nCands)
   }
 
   private def answer(out: GreedyDCCS.Output): (Vector[(Vector[Int], Seq[Int])], Int) =
     (out.result.map(c => (c.layers, c.vertices.toSeq)), out.coverSize)
+
+  private def answerAndStats(out: GreedyDCCS.Output)
+      : ((Vector[(Vector[Int], Seq[Int])], Int), Int, Int) =
+    (answer(out), out.stats.dccCalls, out.stats.candidatesGenerated)
+
+  /** `g` with `by` isolated vertices in front: every id moves up by `by`. */
+  private def shifted(g: MLGraph, by: Int): MLGraph =
+    MLGraph.fromEdges(g.numLayers, g.numVertices + by, g.edgeTriples.map {
+      case (li, u, v) => (li, u + by, v + by)
+    })
+
+  /** How many of GD's candidates have a bound as large as each of their
+    * layer cores (no peel), and how many have one whose d-CC is smaller.
+    */
+  private def denseAndPeeled(g: MLGraph, d: Int, s: Int): (Int, Int) = {
+    val pre = Preprocess.vertexDeletion(g, d, s)
+    val combos = (0 until g.numLayers).combinations(s).toSeq
+    val bounds = combos.map(c => c -> SetOps.intersectAll(c.map(pre.layerCores)))
+    (bounds.count { case (c, b) => c.forall(pre.layerCores(_).length == b.length) },
+     bounds.count { case (c, b) => Dcc.compute(g, c.toArray, d, b).length < b.length })
+  }
 
   /** `copies` identical copies of each of two random layers: every
     * candidate built from copies of one layer ties with the others.
@@ -138,16 +169,65 @@ class GreedySpec extends AnyFunSuite {
     // ids 0..n/2 are isolated, so every survivor's local id in G[A] differs
     // from its id in g
     for (seed <- 1 to 3) {
-      val base = TestGraphs.random(460 + seed, 60, 5, 0.15)
-      val g = MLGraph.fromEdges(5, 120, base.edgeTriples.map { case (li, u, v) =>
-        (li, u + 60, v + 60)
-      })
+      val g = shifted(TestGraphs.random(460 + seed, 60, 5, 0.15), 60)
       for ((d, s, k) <- Seq((2, 2, 4), (3, 3, 5), (1, 4, 10), (2, 5, 1))) {
         val out = GreedyDCCS.run(g, d, s, k)
         assert(answer(out) == sequentialGD(g, d, s, k), s"seed=$seed d=$d s=$s k=$k")
         out.result.foreach(c => assert(c.vertices.forall(_ >= 60)))
       }
     }
+  }
+
+  test("GD where every layer core equals the survivors peels nothing and equals the sequential GD") {
+    // s > copies: a survivor is in the cores of both base layers, so every
+    // layer core is A and every candidate's bound is its d-CC
+    for (seed <- 1 to 3) {
+      val g = shifted(replicated(480 + seed, 40, 4, 0.15), 30)
+      for (d <- 1 to 3; s <- Seq(6, 7, 8); k <- Seq(1, 3, 8)) {
+        val pre = Preprocess.vertexDeletion(g, d, s)
+        assert(pre.active.nonEmpty && pre.active.length < g.numVertices)
+        assert(pre.layerCores.forall(_.sameElements(pre.active)))
+        assert(answerAndStats(GreedyDCCS.run(g, d, s, k)) == sequentialRun(g, d, s, k),
+          s"seed=$seed d=$d s=$s k=$k")
+      }
+    }
+  }
+
+  test("a bound equal to one layer core but not dense on another is still peeled") {
+    // d = 2, s = 2, ids 0..4 isolated. Layer 0: triangle {5,6,7}; layer 1:
+    // cycle 5-6-7-8; layer 2: triangle {5,7,8}. No survivor is deleted
+    // after round 1, and candidate {0,1} has the bound {5,6,7} = C_0 ⊊ C_1,
+    // on which layer 1 is the path 5-6-7: its d-CC is empty.
+    val g = MLGraph.fromEdges(3, 9, Seq(
+      (0, 5, 6), (0, 6, 7), (0, 5, 7),
+      (1, 5, 6), (1, 6, 7), (1, 7, 8), (1, 5, 8),
+      (2, 5, 7), (2, 7, 8), (2, 5, 8)))
+    val pre = Preprocess.vertexDeletion(g, 2, 2)
+    assert(pre.active.toSeq == Seq(5, 6, 7, 8))
+    assert(pre.layerCores(0).toSeq == Seq(5, 6, 7))
+    assert(pre.layerCores(1).toSeq == pre.active.toSeq)
+    val out = GreedyDCCS.run(g, 2, 2, 3)
+    assert(answerAndStats(out) == sequentialRun(g, 2, 2, 3))
+    assert(out.result.find(_.layers == Vector(0, 1)).get.vertices.isEmpty)
+    out.result.foreach(c =>
+      assert(c.vertices.toSeq == Dcc.compute(g, c.layers.toArray, 2).toSeq))
+  }
+
+  test("GD on survivors with high ids, some candidates dense and some peeled, equals the sequential GD") {
+    // s <= copies: a candidate built from copies of one base layer has that
+    // layer's core as its bound, one mixing both base layers needs a peel
+    var mixed = 0
+    for (seed <- 1 to 3) {
+      val g = shifted(replicated(490 + seed, 40, 3, 0.12), 50)
+      for (d <- 1 to 3; s <- Seq(2, 3); k <- Seq(1, 4, 20)) {
+        assert(Preprocess.vertexDeletion(g, d, s).active.length < g.numVertices)
+        val (dense, peeled) = denseAndPeeled(g, d, s)
+        if (dense > 0 && peeled > 0) mixed += 1
+        assert(answerAndStats(GreedyDCCS.run(g, d, s, k)) == sequentialRun(g, d, s, k),
+          s"seed=$seed d=$d s=$s k=$k")
+      }
+    }
+    assert(mixed > 0)
   }
 
   test("ties on gain over 560 candidates break as in a sequential GD") {
