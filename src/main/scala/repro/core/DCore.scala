@@ -42,19 +42,20 @@ object DCore {
     out
   }
 
-  /** Core number of every vertex on one layer: the largest d with
-    * `v ∈ C^d(G_i)`. Batagelj-Zaversnik bin sort, O(n + m_i): vertices sit
-    * in an array ordered by current degree, `start(k)` marks where degree
-    * `k` begins, and each processed vertex moves every neighbour of higher
-    * degree one bin down.
+  /** Core number of every vertex on one layer, given as the layer's CSR
+    * rows (see [[MLGraph]]): the largest d with `v ∈ C^d(G_i)`.
+    * Batagelj-Zaversnik bin sort, O(n + m_i): vertices sit in an array
+    * ordered by current degree, `start(k)` marks where degree `k` begins,
+    * and each processed vertex moves every neighbour of higher degree one
+    * bin down.
     */
-  private[core] def coreNumbers(adj: Array[Array[Int]]): Array[Int] = {
-    val n = adj.length
+  private[core] def coreNumbers(offsets: Array[Int], targets: Array[Int]): Array[Int] = {
+    val n = offsets.length - 1
     val deg = new Array[Int](n)
     var maxDeg = 0
     var v = 0
     while (v < n) {
-      deg(v) = adj(v).length
+      deg(v) = offsets(v + 1) - offsets(v)
       if (deg(v) > maxDeg) maxDeg = deg(v)
       v += 1
     }
@@ -79,10 +80,10 @@ object DCore {
     var i = 0
     while (i < n) {
       val x = vert(i)
-      val ns = adj(x)
-      var j = 0
-      while (j < ns.length) {
-        val u = ns(j)
+      var j = offsets(x)
+      val hi = offsets(x + 1)
+      while (j < hi) {
+        val u = targets(j)
         if (deg(u) > deg(x)) {
           // swap u with the first vertex of its bin, then shrink that bin
           val du = deg(u)

@@ -44,16 +44,20 @@ object Dcc {
     val stack = new Array[Int](m)
     var top = 0
 
+    val offs = layers.map(g.offsets)
+    val tgts = layers.map(g.targets)
     var li = 0
     while (li < nl) {
-      val adj = g.adj(layers(li))
+      val off = offs(li)
+      val tgt = tgts(li)
       val base = li * m
       x = 0
       while (x < m) {
-        val ns = adj(scope(x))
+        val v = scope(x)
         var c = 0
-        var j = 0
-        while (j < ns.length) { if (local(ns(j)) != 0) c += 1; j += 1 }
+        var j = off(v)
+        val hi = off(v + 1)
+        while (j < hi) { if (local(tgt(j)) != 0) c += 1; j += 1 }
         deg(base + x) = c
         if (c < d && !dead(x)) { dead(x) = true; stack(top) = x; top += 1 }
         x += 1
@@ -66,11 +70,12 @@ object Dcc {
       val v = scope(stack(top))
       li = 0
       while (li < nl) {
-        val ns = g.adj(layers(li))(v)
+        val tgt = tgts(li)
         val base = li * m
-        var j = 0
-        while (j < ns.length) {
-          val y = local(ns(j)) - 1
+        var j = offs(li)(v)
+        val hi = offs(li)(v + 1)
+        while (j < hi) {
+          val y = local(tgt(j)) - 1
           if (y >= 0 && !dead(y)) {
             val c = deg(base + y) - 1
             deg(base + y) = c

@@ -103,7 +103,12 @@ object Experiments {
   }
 
   // ---- T11 (Fig. 28): preprocessing ablation -----------------------------
-  final case class Ablation(variant: String, millis: Long, dccCalls: Int, cover: Int)
+  /** @param prepCalls the preprocessing peels in `dccCalls`: l per
+    *                  vertex-deletion round; `dccCalls − prepCalls` are the
+    *                  search's own
+    */
+  final case class Ablation(variant: String, millis: Long, dccCalls: Int,
+                            prepCalls: Int, cover: Int)
 
   def ablation(name: String, algo: String, s: Int,
                d: Int = DefaultD, k: Int = DefaultK): Seq[Ablation] = {
@@ -123,7 +128,8 @@ object Experiments {
     )
     variants.map { case (label, cfg) =>
       val out = search(g, d, s, k, cfg)
-      Ablation(label, out.stats.totalMillis, out.stats.dccCalls, out.coverSize)
+      val prep = g.numLayers * Preprocess.vertexDeletion(g, d, s, cfg.vertexDeletion).rounds
+      Ablation(label, out.stats.totalMillis, out.stats.dccCalls, prep, out.coverSize)
     }
   }
 

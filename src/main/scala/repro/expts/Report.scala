@@ -44,8 +44,9 @@ object Report {
 
   // T11 (Fig. 28)
   def ablation(title: String, rows: Seq[Experiments.Ablation]): String =
-    Tables.render(title, Seq("variant", "time(s)", "dccCalls", "cover"),
-      rows.map(a => Seq(a.variant, Tables.fmtMs(a.millis), a.dccCalls.toString, a.cover.toString)))
+    Tables.render(title, Seq("variant", "time(s)", "dccCalls", "prepCalls", "cover"),
+      rows.map(a => Seq(a.variant, Tables.fmtMs(a.millis), a.dccCalls.toString,
+                        a.prepCalls.toString, a.cover.toString)))
 
   // T12 (Fig. 29)
   def mimagCompare(cmps: Seq[Experiments.Comparison]): String =

@@ -102,8 +102,8 @@ object MiMAG {
     /** Layers of `layers` on which `u` is adjacent to every member of q. */
     def adjacentToAllOn(u: Int, q: List[Int], layers: Array[Int]): Array[Int] =
       layers.filter { li =>
-        val nbrs = g.neighbors(li, u)
-        q.forall(v => java.util.Arrays.binarySearch(nbrs, v) >= 0)
+        val off = g.offsets(li)
+        q.forall(v => java.util.Arrays.binarySearch(g.targets(li), off(u), off(u + 1), v) >= 0)
       }
 
     /** @param cliqueLayers layers on which Q is a clique, or null once the

@@ -13,8 +13,11 @@ object QuasiClique {
 
   /** Degree of `v` within the vertex set marked in `inSet` on `layer`. */
   def degreeWithin(g: MLGraph, layer: Int, v: Int, inSet: java.util.BitSet): Int = {
+    val tgt = g.targets(layer)
     var c = 0
-    g.neighbors(layer, v).foreach(u => if (inSet.get(u)) c += 1)
+    var j = g.offsets(layer)(v)
+    val hi = g.offsets(layer)(v + 1)
+    while (j < hi) { if (inSet.get(tgt(j))) c += 1; j += 1 }
     c
   }
 

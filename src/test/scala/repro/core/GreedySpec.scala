@@ -4,6 +4,7 @@ import java.util.concurrent.{Callable, Executors}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import scala.collection.mutable
+import scala.util.Random
 
 class GreedySpec extends AnyFunSuite {
 
@@ -84,6 +85,57 @@ class GreedySpec extends AnyFunSuite {
     MLGraph.fromEdges(2 * copies, n, base.edgeTriples.flatMap { case (li, u, v) =>
       (0 until copies).map(c => (li * copies + c, u, v))
     })
+  }
+
+  /** The selection GD ran before its candidates became bitsets: the gains
+    * counted vertex by vertex against a `BitSet` of covered ids, the first
+    * maximum taken. Returns the indices of the picks and the cover size.
+    */
+  private def intSelect(sets: Array[Array[Int]], k: Int): (Vector[Int], Int) = {
+    val covered = new java.util.BitSet()
+    val taken = new Array[Boolean](sets.length)
+    val picked = Vector.newBuilder[Int]
+    var j = 0
+    while (j < k && j < sets.length) {
+      val gains = sets.indices.map(i => if (taken(i)) -1 else sets(i).count(!covered.get(_)))
+      var bestIdx = 0
+      var i = 1
+      while (i < gains.length) { if (gains(i) > gains(bestIdx)) bestIdx = i; i += 1 }
+      taken(bestIdx) = true
+      sets(bestIdx).foreach(covered.set)
+      picked += bestIdx
+      j += 1
+    }
+    (picked.result(), covered.cardinality())
+  }
+
+  /** `vs` (ids below 64·words) as a bitset of `words` longs. */
+  private def bitset(vs: Array[Int], words: Int): Array[Long] = {
+    val out = new Array[Long](words)
+    vs.foreach(v => out(v >>> 6) |= 1L << v)
+    out
+  }
+
+  /** A graph whose vertex deletion at d = 2 and s <= 3 keeps exactly the
+    * ids `0 until m`: layers 0-2 each hold a cycle through all of them, the
+    * other layers a cycle through a random part, all with random chords.
+    * Each of the `extra` ids above them hangs off one survivor on some
+    * layers, so it has degree at most 1 on every layer and is deleted.
+    */
+  private def withSurvivors(seed: Long, m: Int, extra: Int, l: Int): MLGraph = {
+    val rng = new Random(seed)
+    val edges = mutable.ArrayBuffer.empty[(Int, Int, Int)]
+    for (li <- 0 until l) {
+      val part = rng.shuffle((0 until m).toVector).filter(_ => li < 3 || rng.nextDouble() < 0.6)
+      if (part.length >= 3) {
+        part.indices.foreach(i => edges += ((li, part(i), part((i + 1) % part.length))))
+        (0 until m / 4).foreach { _ =>
+          edges += ((li, part(rng.nextInt(part.length)), part(rng.nextInt(part.length))))
+        }
+      }
+      (m until m + extra).foreach(x => if (rng.nextBoolean()) edges += ((li, x, rng.nextInt(m))))
+    }
+    MLGraph.fromEdges(l, m + extra, edges)
   }
 
   for (seed <- 1 to 6) {
@@ -242,9 +294,11 @@ class GreedySpec extends AnyFunSuite {
   }
 
   test("GD from 4 threads at once on one shared graph equals the sequential answer") {
+    // the threads ask different (d, s), so the graph's candidate family
+    // changes hands between their queries; the counters must not show it
     val g = TestGraphs.random(430, 80, 6, 0.1)
     val params = Vector((2, 2, 5), (2, 3, 4), (3, 2, 3), (1, 4, 6))
-    val expected = params.map { case (d, s, k) => sequentialGD(g, d, s, k) }
+    val expected = params.map { case (d, s, k) => sequentialRun(g, d, s, k) }
     val pool = Executors.newFixedThreadPool(4)
     try {
       val futures = (0 until 4).map { t =>
@@ -253,12 +307,58 @@ class GreedySpec extends AnyFunSuite {
           def call(): Vector[Int] = (0 until 5 * params.length).toVector.flatMap { r =>
             val p = (t + r) % params.length
             val (d, s, k) = params(p)
-            if (answer(GreedyDCCS.run(g, d, s, k)) == expected(p)) None else Some(p)
+            if (answerAndStats(GreedyDCCS.run(g, d, s, k)) == expected(p)) None else Some(p)
           }
         })
       }
       futures.foreach(f => assert(f.get().isEmpty, "answers that differ"))
     } finally pool.shutdown()
+  }
+
+  test("bitset selection equals the int-array selection on random sets with ties") {
+    val rng = new Random(800)
+    for (universe <- Seq(0, 1, 63, 64, 65, 128, 200); round <- 1 to 5) {
+      val words = (universe + 63) / 64
+      // few distinct sets, each repeated: many gains tie in every round
+      val distinct = Array.fill(1 + rng.nextInt(6)) {
+        (0 until universe).filter(_ => rng.nextDouble() < 0.3).toArray
+      }
+      val sets = Array.fill(1 + rng.nextInt(30))(distinct(rng.nextInt(distinct.length)))
+      for (k <- Seq(1, 2, 5, sets.length, sets.length + 3)) {
+        val (picks, cover) = GreedyDCCS.select(sets.map(bitset(_, words)), k)
+        assert((picks.toVector, cover) == intSelect(sets, k), s"universe=$universe round=$round k=$k")
+      }
+    }
+  }
+
+  test("GD on 63, 64, 65 and 128 survivors, with and without deleted vertices, equals the sequential GD") {
+    for (m <- Seq(63, 64, 65, 128); extra <- Seq(0, 20)) {
+      val g = withSurvivors(900 + m + extra, m, extra, 6)
+      for (s <- Seq(2, 3); k <- Seq(1, 3, 100)) {
+        // extra = 0: nothing is deleted and GD selects over the ids of g
+        assert(Preprocess.vertexDeletion(g, 2, s).active.toSeq == (0 until m))
+        val out = GreedyDCCS.run(g, 2, s, k)
+        assert(answerAndStats(out) == sequentialRun(g, 2, s, k), s"m=$m extra=$extra s=$s k=$k")
+        if (k == 100) assert(out.result.length == out.stats.candidatesGenerated) // k > C(6, s)
+      }
+    }
+  }
+
+  test("interleaved (d, s, k) queries on one graph equal those on a freshly built copy, counters included") {
+    val g = shifted(TestGraphs.random(432, 70, 6, 0.12), 10)
+    def copy = MLGraph.fromEdges(g.numLayers, g.numVertices, g.edgeTriples)
+    val queries = Seq((2, 2, 3), (2, 2, 5), (3, 2, 2), (2, 2, 3), (2, 3, 4), (2, 3, 1),
+                      (3, 2, 6), (2, 2, 15), (1, 4, 6), (2, 3, 4), (1, 4, 1), (3, 2, 2))
+    for ((d, s, k) <- queries) {
+      val out = GreedyDCCS.run(g, d, s, k)
+      assert(answerAndStats(out) == answerAndStats(GreedyDCCS.run(copy, d, s, k)), s"d=$d s=$s k=$k")
+      // the graph keeps the family of the last (d, s); the same (d, s)
+      // with another k reuses it
+      val family = g.gdFamily
+      assert(family.d == d && family.s == s)
+      GreedyDCCS.run(g, d, s, k + 1)
+      assert(g.gdFamily eq family)
+    }
   }
 
   test("achieves the (1 - 1/e) bound vs the exact optimum on tiny instances") {

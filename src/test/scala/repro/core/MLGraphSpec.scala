@@ -83,11 +83,11 @@ class MLGraphSpec extends AnyFunSuite {
     sets.map(_.map(_.toArray))
   }
 
-  /** fromEdges on random edges over `l` layers (one of them empty), with
-    * isolated vertices and duplicates in both orientations, against
-    * [[sortedSetAdj]].
+  /** Random edges on n vertices over `l` layers, one of them empty, with
+    * isolated vertices, self-loops and duplicates in both orientations,
+    * shuffled. Returns (n, edges, the empty layer, the isolated vertices).
     */
-  private def checkAgainstSortedSet(rng: Random, l: Int): Unit = {
+  private def randomEdges(rng: Random, l: Int): (Int, Seq[(Int, Int, Int)], Int, Set[Int]) = {
     val n = 1 + rng.nextInt(60)
     val emptyLayer = rng.nextInt(l)
     val isolated = (0 until n).filter(_ => rng.nextDouble() < 0.2).toSet
@@ -99,11 +99,16 @@ class MLGraphSpec extends AnyFunSuite {
     }
     // duplicates in both orientations, then a shuffle
     val dups = base.filter(_ => rng.nextDouble() < 0.3).map { case (li, u, v) => (li, v, u) }
-    val edges = rng.shuffle(base ++ dups ++ base.take(base.length / 4))
+    (n, rng.shuffle(base ++ dups ++ base.take(base.length / 4)), emptyLayer, isolated)
+  }
+
+  /** fromEdges on [[randomEdges]] against [[sortedSetAdj]]. */
+  private def checkAgainstSortedSet(rng: Random, l: Int): Unit = {
+    val (n, edges, emptyLayer, isolated) = randomEdges(rng, l)
     val g = MLGraph.fromEdges(l, n, edges.iterator)
     val ref = sortedSetAdj(l, n, edges)
     for (li <- 0 until l; v <- 0 until n)
-      assert(g.adj(li)(v).sameElements(ref(li)(v)), s"layer $li vertex $v")
+      assert(g.neighbors(li, v).sameElements(ref(li)(v)), s"layer $li vertex $v")
     assert(g.edgeCount(emptyLayer) == 0)
     isolated.foreach(v => (0 until l).foreach(li => assert(g.degree(li, v) == 0)))
   }
@@ -123,6 +128,41 @@ class MLGraphSpec extends AnyFunSuite {
     }
   }
 
+  // The CSR layout and every operation that reads it, on one graph each,
+  // against the rows of the SortedSet builder.
+  for (seed <- 1 to 8) {
+    test(s"CSR rows, edgeCount, edgeTriples, selectLayers and induced match the SortedSet reference (seed=$seed)") {
+      val rng = new Random(700 + seed)
+      val l = 1 + rng.nextInt(if (seed > 4) 16 else 4)
+      val (n, edges, _, _) = randomEdges(rng, l)
+      val g = MLGraph.fromEdges(l, n, edges)
+      val ref = sortedSetAdj(l, n, edges)
+      for (li <- 0 until l) {
+        val off = g.offsets(li)
+        assert(off.length == n + 1 && off(0) == 0 && off(n) == g.targets(li).length)
+        (0 until n).foreach { v =>
+          assert(g.degree(li, v) == ref(li)(v).length)
+          assert(g.neighbors(li, v).sameElements(ref(li)(v)), s"layer $li vertex $v")
+        }
+        assert(g.edgeCount(li) == ref(li).map(_.length).sum / 2)
+      }
+      assert(g.edgeTriples.toSeq ==
+        (for (li <- 0 until l; u <- 0 until n; w <- ref(li)(u).toSeq if u < w) yield (li, u, w)))
+
+      val layers = Seq.fill(1 + rng.nextInt(2 * l))(rng.nextInt(l)) // repeats allowed
+      val sel = g.selectLayers(layers)
+      assert(sel.numLayers == layers.length)
+      for ((li, i) <- layers.zipWithIndex; v <- 0 until n)
+        assert(sel.neighbors(i, v).sameElements(ref(li)(v)), s"selected layer $i vertex $v")
+
+      val (sub, old) = g.induced(Array.fill(rng.nextInt(n + 1))(rng.nextInt(n)))
+      val newId = old.zipWithIndex.toMap
+      for (li <- 0 until l; x <- old.indices)
+        assert(sub.neighbors(li, x).toSeq == ref(li)(old(x)).toSeq.flatMap(newId.get),
+          s"induced layer $li vertex ${old(x)}")
+    }
+  }
+
   // Reference: the HashMap + fromEdges body `induced` had before it was
   // rebuilt over an id array.
   private def inducedViaEdges(g: MLGraph, vertices: Array[Int]): (MLGraph, Array[Int]) = {
@@ -133,7 +173,7 @@ class MLGraphSpec extends AnyFunSuite {
     var li = 0
     while (li < g.numLayers) {
       old.foreach { u =>
-        g.adj(li)(u).foreach { w =>
+        g.neighbors(li, u).foreach { w =>
           if (u < w && newId.contains(w)) edges += ((li, newId(u), newId(w)))
         }
       }
@@ -160,7 +200,7 @@ class MLGraphSpec extends AnyFunSuite {
   private def sameGraph(a: MLGraph, b: MLGraph): Boolean =
     a.numLayers == b.numLayers && a.numVertices == b.numVertices &&
       (0 until a.numLayers).forall(li =>
-        (0 until a.numVertices).forall(v => a.adj(li)(v).sameElements(b.adj(li)(v))))
+        (0 until a.numVertices).forall(v => a.neighbors(li, v).sameElements(b.neighbors(li, v))))
 
   for (seed <- 1 to 8) {
     test(s"induced equals the HashMap + fromEdges reference (seed=$seed)") {
@@ -184,7 +224,7 @@ class MLGraphSpec extends AnyFunSuite {
   private def sortedSetUnion(g: MLGraph): Array[Array[Int]] =
     Array.tabulate(g.numVertices) { v =>
       val set = mutable.SortedSet.empty[Int]
-      (0 until g.numLayers).foreach(li => g.adj(li)(v).foreach(set += _))
+      (0 until g.numLayers).foreach(li => g.neighbors(li, v).foreach(set += _))
       set.toArray
     }
 
