@@ -2,10 +2,14 @@ package repro.core
 
 /** The three DCCS algorithms, and the one place that dispatches on them. */
 sealed abstract class Algo(val name: String) {
-  def run(g: MLGraph, d: Int, s: Int, k: Int): GreedyDCCS.Output = this match {
-    case Algo.GD => GreedyDCCS.run(g, d, s, k)
-    case Algo.BU => BottomUpDCCS.run(g, d, s, k)
-    case Algo.TD => TopDownDCCS.run(g, d, s, k)
+  /** `cfg` (the Fig. 28 ablation) applies to BU and TD; GD takes only the default. */
+  def run(g: MLGraph, d: Int, s: Int, k: Int,
+          cfg: Search.Config = Search.Config()): GreedyDCCS.Output = this match {
+    case Algo.GD =>
+      require(cfg == Search.Config(), s"GD runs only the full preprocessing, not $cfg")
+      GreedyDCCS.run(g, d, s, k)
+    case Algo.BU => BottomUpDCCS.run(g, d, s, k, cfg)
+    case Algo.TD => TopDownDCCS.run(g, d, s, k, cfg)
   }
 }
 

@@ -73,7 +73,7 @@ object BottomUpDCCS {
       }
     }
 
-    buGen(Nil, search.pre.active, Set.empty)
+    buGen(Nil, search.survivors, Set.empty)
     search.output
   }
 }

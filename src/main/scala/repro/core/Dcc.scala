@@ -10,8 +10,8 @@ package repro.core
   * worklist peel over scope-local ids — identical output (the d-CC is
   * unique, Property 1). A vertex is pushed at most once (when its first
   * layer degree falls below `d`) and popped once, and each pop walks its
-  * |L| adjacency lists, so a call costs one zeroed n-int id map plus
-  * O(|L|·Σ_{v∈scope} deg(v)), independent of the rest of the graph.
+  * |L| adjacency lists, so a call costs one zeroed id map, sized by the
+  * graph it runs on (G[A] in the searches), plus O(|L|·Σ_{v∈scope} deg(v)).
   */
 object Dcc {
 

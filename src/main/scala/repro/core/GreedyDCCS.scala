@@ -3,8 +3,7 @@ package repro.core
 /** GD-DCCS (Fig. 2): generate all C(l, s) candidate d-CCs, then pick k of
   * them greedily by marginal cover gain. (1 - 1/e)-approximate.
   *
-  * Every candidate lies inside the survivors A of vertex deletion, so the
-  * candidates are peeled on the induced subgraph G[A] (local ids) and only
+  * The candidates are peeled on G[A] ([[Preprocess.Survivors]]), and only
   * the picked cores are mapped back to the ids of `g`.
   *
   * A candidate whose Lemma-1 bound `B = ∩_{i∈L} C_i` is as large as each
@@ -42,8 +41,7 @@ object GreedyDCCS {
   /** Lines 1-7 of Fig. 2 for one (d, s) on one graph: everything GD
     * computes before it reads k.
     *
-    * @param ids       the survivors A in the ids of `g`, or null when vertex
-    *                  deletion removed nothing (A = V)
+    * @param ids       the survivors A in the ids of `g`
     * @param rounds    vertex-deletion rounds
     * @param layerSets each candidate's layer set, in enumeration order
     * @param cands     each candidate's d-CC as a bitset of ⌈|A|/64⌉ longs
@@ -63,10 +61,7 @@ object GreedyDCCS {
 
     val (picks, cover) = select(f.cands, k)
     // back to the ids of g; the relabelling is monotone, so still sorted
-    val result = picks.toVector.map { c =>
-      val local = decode(f.cands(c))
-      Core(f.layerSets(c), if (f.ids == null) local else local.map(f.ids))
-    }
+    val result = picks.toVector.map(c => Core(f.layerSets(c), decode(f.cands(c)).map(f.ids)))
     // l layer d-cores per preprocessing round (round 1 reads them from the
     // core numbers, later rounds peel them), one dCC call per candidate
     Output(result, cover,
@@ -76,48 +71,30 @@ object GreedyDCCS {
 
   private def family(g: MLGraph, d: Int, s: Int): Family = {
     // Lines 1-3 + preprocessing: per-layer d-cores (on the pruned graph).
-    val pre = Preprocess.vertexDeletion(g, d, s)
+    val a = new Preprocess.Survivors(g, Preprocess.vertexDeletion(g, d, s))
+    val cores = a.layerCores
 
-    // Lines 4-7 on G[A]: every layer core and every candidate lies inside
-    // the survivors A, so peel there (g itself when nothing was deleted).
-    // One candidate per layer subset of size s, computed inside the
-    // intersection bound of Lemma 1; a bound as large as each of its layer
-    // cores is that d-CC (see above), so G[A] is built (`sub` non-null) only
-    // if some layer core is smaller than A. The candidates run on the common
-    // fork-join pool, each into its combination's slot, so selection sees
-    // the enumeration order.
-    val ids = if (pre.active.length == g.numVertices) null else pre.active
-    val cores = if (ids == null) pre.layerCores else pre.layerCores.map(toLocal(_, ids))
-    val sub =
-      if (ids == null) g
-      else if (cores.forall(_.length == ids.length)) null
-      else g.induced(ids)._1
-    val words = (pre.active.length + 63) >>> 6
+    // Lines 4-7 on G[A]: one candidate per layer subset of size s, computed
+    // inside the intersection bound of Lemma 1; a bound as large as each of
+    // its layer cores is that d-CC (see above), so G[A] is needed only if
+    // some layer core is smaller than A. It is built here, not by the first
+    // pooled candidate while the others wait on the lazy val. The candidates
+    // run on the common fork-join pool, each into its combination's slot,
+    // so selection sees the enumeration order.
+    if (cores.exists(_.length < a.ids.length)) a.graph
+    val words = (a.ids.length + 63) >>> 6
     val combos = (0 until g.numLayers).combinations(s).toArray
     val cands = Par.tabulate(combos.length) { c =>
       val combo = combos(c)
       val bound = SetOps.intersectAll(combo.map(cores))
       val cc =
         if (bound.isEmpty || combo.forall(cores(_).length == bound.length)) bound
-        else Dcc.compute(sub, combo.toArray, d, bound)
+        else Dcc.compute(a.graph, combo.toArray, d, bound)
       val bits = new Array[Long](words)
       cc.foreach(x => bits(x >>> 6) |= 1L << x)
       bits
     }
-    new Family(d, s, ids, pre.rounds, combos.map(_.toVector), cands)
-  }
-
-  /** Positions in `ids` of the members of `vs`; both sorted, `vs ⊆ ids`. */
-  private def toLocal(vs: Array[Int], ids: Array[Int]): Array[Int] = {
-    val out = new Array[Int](vs.length)
-    var p = 0
-    var i = 0
-    while (i < vs.length) {
-      while (ids(p) < vs(i)) p += 1
-      out(i) = p
-      i += 1
-    }
-    out
+    new Family(d, s, a.ids, a.pre.rounds, combos.map(_.toVector), cands)
   }
 
   /** The members of a bitset, ascending (`BitSet` reads the same layout:

@@ -43,4 +43,20 @@ object Preprocess {
     }
     State(active, cores, rounds)
   }
+
+  /** The frame GD, BU and TD peel in: the survivors A of `pre` (`ids`, so
+    * local id x is `ids(x)`), each layer core in local ids, and G[A], built
+    * on first use, or `g` itself when nothing was deleted. Every layer core
+    * and d-CC bound lies inside A, and the relabelling is monotone, so a
+    * peel on `graph` gives the d-CC a peel on `g` gives, in local ids.
+    */
+  private[core] final class Survivors(g: MLGraph, val pre: State) {
+    val ids: Array[Int] = pre.active
+    private val all = ids.length == g.numVertices
+    // a merge walk: the members of each sorted core, as positions in `ids`
+    val layerCores: Array[Array[Int]] =
+      if (all) pre.layerCores
+      else pre.layerCores.map { c => var p = 0; c.map { v => while (ids(p) < v) p += 1; p } }
+    lazy val graph: MLGraph = if (all) g else g.induced(ids)._1
+  }
 }

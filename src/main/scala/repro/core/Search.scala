@@ -8,7 +8,8 @@ package repro.core
   * Layers live in position space: position p denotes original layer
   * `order(p)`, and `cores(p)` is that layer's d-core after vertex deletion.
   * `descending` sorts the positions by decreasing |C^d(G_i)| (BU, line 9)
-  * instead of increasing (TD, Section V-D).
+  * instead of increasing (TD, Section V-D). Vertices live in A's local ids
+  * ([[Preprocess.Survivors]]); only R's cores are mapped back to those of `g`.
   */
 private[core] final class Search(g: MLGraph, d: Int, s: Int, k: Int,
                                  cfg: Search.Config, descending: Boolean) {
@@ -16,20 +17,23 @@ private[core] final class Search(g: MLGraph, d: Int, s: Int, k: Int,
   private val t0 = System.nanoTime()
   val l: Int = g.numLayers
 
-  // BU-DCCS lines 1-7: vertex deletion.
-  val pre: Preprocess.State = Preprocess.vertexDeletion(g, d, s, cfg.vertexDeletion)
-  private var dccCalls = l * pre.rounds
+  // BU-DCCS lines 1-7: vertex deletion. Every peel runs on G[A].
+  private val frame =
+    new Preprocess.Survivors(g, Preprocess.vertexDeletion(g, d, s, cfg.vertexDeletion))
+  private var dccCalls = l * frame.pre.rounds
   private var candidates = 0
+  val graph: MLGraph = frame.graph
+  val survivors: Array[Int] = Array.range(0, frame.ids.length)
 
   val order: Array[Int] =
     if (!cfg.sortLayers) Array.range(0, l)
-    else if (descending) (0 until l).sortBy(i => -pre.layerCores(i).length).toArray
-    else (0 until l).sortBy(i => pre.layerCores(i).length).toArray
-  val cores: Array[Array[Int]] = order.map(pre.layerCores)
+    else if (descending) (0 until l).sortBy(i => -frame.layerCores(i).length).toArray
+    else (0 until l).sortBy(i => frame.layerCores(i).length).toArray
+  val cores: Array[Array[Int]] = order.map(frame.layerCores)
 
   val topk = new TopKDiversified(k)
   if (cfg.initTopK) {
-    TopKDiversified.initTopK(g, d, s, order, cores, topk)
+    TopKDiversified.initTopK(graph, d, s, order, cores, topk)
     dccCalls += k; candidates += k
   }
 
@@ -37,7 +41,7 @@ private[core] final class Search(g: MLGraph, d: Int, s: Int, k: Int,
   def peel(positions: Seq[Int], bound: Array[Int]): Array[Int] = {
     dccCalls += 1
     if (bound.isEmpty) Array.empty[Int]
-    else Dcc.compute(g, positions.map(order).toArray, d, bound)
+    else Dcc.compute(graph, positions.map(order).toArray, d, bound)
   }
 
   /** Offers the size-s candidate `vs` of `positions` to R; one candidate. */
@@ -47,7 +51,8 @@ private[core] final class Search(g: MLGraph, d: Int, s: Int, k: Int,
   }
 
   def output: GreedyDCCS.Output =
-    GreedyDCCS.Output(topk.result, topk.covSize,
+    GreedyDCCS.Output(topk.result.map(c => c.copy(vertices = c.vertices.map(frame.ids))),
+      topk.covSize,
       GreedyDCCS.Stats(dccCalls, candidates, (System.nanoTime() - t0) / 1000000L))
 }
 

@@ -34,10 +34,10 @@ object TopDownDCCS {
   def run(g: MLGraph, d: Int, s: Int, k: Int,
           cfg: Search.Config = Search.Config()): GreedyDCCS.Output = {
     val search = new Search(g, d, s, k, cfg, descending = false)
-    import search.{cores, l, order, peel, offer, topk}
+    import search.{cores, graph, l, order, peel, offer, topk}
     val rng = new scala.util.Random(42L) // Lemma 7's random descendant
     val coreBits: Array[java.util.BitSet] = cores.map { c =>
-      val bs = new java.util.BitSet(g.numVertices); c.foreach(bs.set); bs
+      val bs = new java.util.BitSet(graph.numVertices); c.foreach(bs.set); bs
     }
 
     // The positions of L above its largest missing one: the layers that
@@ -64,7 +64,7 @@ object TopDownDCCS {
       // Refinement Method 1: degree-d peel on Class-1 layers (a direct
       // Dcc.compute, so dccCalls leaves it out).
       if (m.isEmpty || afterR2.isEmpty) afterR2
-      else Dcc.compute(g, m.map(order).toArray, d, afterR2)
+      else Dcc.compute(graph, m.map(order).toArray, d, afterR2)
     }
 
     // ---- TD-Gen (Fig. 8); RefineC (Fig. 10) is `peel` of U_{L'} ----------
@@ -105,8 +105,8 @@ object TopDownDCCS {
     // Lines 4-5: the root's d-CC is a candidate only when s = l; below
     // that, TD-Gen starts from the survivors and never reads it.
     val allPos = (0 until l).toList
-    if (s == l) offer(allPos, peel(allPos, search.pre.active))
-    else tdGen(allPos, search.pre.active)
+    if (s == l) offer(allPos, peel(allPos, search.survivors))
+    else tdGen(allPos, search.survivors)
     search.output
   }
 }

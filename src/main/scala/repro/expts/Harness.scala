@@ -110,14 +110,10 @@ object Experiments {
   final case class Ablation(variant: String, millis: Long, dccCalls: Int,
                             prepCalls: Int, cover: Int)
 
+  /** The five Fig. 28 variants of BU or TD (`Algo.run` rejects GD's). */
   def ablation(name: String, algo: String, s: Int,
                d: Int = DefaultD, k: Int = DefaultK): Seq[Ablation] = {
-    val search: (MLGraph, Int, Int, Int, Search.Config) => GreedyDCCS.Output = algo match {
-      case "BU" => BottomUpDCCS.run
-      case "TD" => TopDownDCCS.run
-      case other =>
-        throw new IllegalArgumentException(s"ablation runs \"BU\" or \"TD\", not \"$other\"")
-    }
+    val search = Algo(algo)
     val g = dataset(name).graph
     val variants = Seq(
       ("Full",   Search.Config()),
@@ -127,7 +123,7 @@ object Experiments {
       ("No-Pre", Search.Config(false, false, false)),
     )
     variants.map { case (label, cfg) =>
-      val out = search(g, d, s, k, cfg)
+      val out = search.run(g, d, s, k, cfg)
       val prep = g.numLayers * Preprocess.vertexDeletion(g, d, s, cfg.vertexDeletion).rounds
       Ablation(label, out.stats.totalMillis, out.stats.dccCalls, prep, out.coverSize)
     }

@@ -57,6 +57,12 @@ object TestGraphs {
     MLGraph.fromEdges(l, n, edges)
   }
 
+  /** `g` with `by` isolated vertices in front: every id moves up by `by`. */
+  def shifted(g: MLGraph, by: Int): MLGraph =
+    MLGraph.fromEdges(g.numLayers, g.numVertices + by, g.edgeTriples.map {
+      case (li, u, v) => (li, u + by, v + by)
+    })
+
   /** A tiny fully hand-checkable 2-layer graph:
     * layer 0: triangle {0,1,2} + edge (3,4); layer 1: square 0-1-2-3-0.
     */

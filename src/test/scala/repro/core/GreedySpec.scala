@@ -60,12 +60,6 @@ class GreedySpec extends AnyFunSuite {
       : ((Vector[(Vector[Int], Seq[Int])], Int), Int, Int) =
     (answer(out), out.stats.dccCalls, out.stats.candidatesGenerated)
 
-  /** `g` with `by` isolated vertices in front: every id moves up by `by`. */
-  private def shifted(g: MLGraph, by: Int): MLGraph =
-    MLGraph.fromEdges(g.numLayers, g.numVertices + by, g.edgeTriples.map {
-      case (li, u, v) => (li, u + by, v + by)
-    })
-
   /** How many of GD's candidates have a bound as large as each of their
     * layer cores (no peel), and how many have one whose d-CC is smaller.
     */
@@ -221,7 +215,7 @@ class GreedySpec extends AnyFunSuite {
     // ids 0..n/2 are isolated, so every survivor's local id in G[A] differs
     // from its id in g
     for (seed <- 1 to 3) {
-      val g = shifted(TestGraphs.random(460 + seed, 60, 5, 0.15), 60)
+      val g = TestGraphs.shifted(TestGraphs.random(460 + seed, 60, 5, 0.15), 60)
       for ((d, s, k) <- Seq((2, 2, 4), (3, 3, 5), (1, 4, 10), (2, 5, 1))) {
         val out = GreedyDCCS.run(g, d, s, k)
         assert(answer(out) == sequentialGD(g, d, s, k), s"seed=$seed d=$d s=$s k=$k")
@@ -234,7 +228,7 @@ class GreedySpec extends AnyFunSuite {
     // s > copies: a survivor is in the cores of both base layers, so every
     // layer core is A and every candidate's bound is its d-CC
     for (seed <- 1 to 3) {
-      val g = shifted(replicated(480 + seed, 40, 4, 0.15), 30)
+      val g = TestGraphs.shifted(replicated(480 + seed, 40, 4, 0.15), 30)
       for (d <- 1 to 3; s <- Seq(6, 7, 8); k <- Seq(1, 3, 8)) {
         val pre = Preprocess.vertexDeletion(g, d, s)
         assert(pre.active.nonEmpty && pre.active.length < g.numVertices)
@@ -270,7 +264,7 @@ class GreedySpec extends AnyFunSuite {
     // layer's core as its bound, one mixing both base layers needs a peel
     var mixed = 0
     for (seed <- 1 to 3) {
-      val g = shifted(replicated(490 + seed, 40, 3, 0.12), 50)
+      val g = TestGraphs.shifted(replicated(490 + seed, 40, 3, 0.12), 50)
       for (d <- 1 to 3; s <- Seq(2, 3); k <- Seq(1, 4, 20)) {
         assert(Preprocess.vertexDeletion(g, d, s).active.length < g.numVertices)
         val (dense, peeled) = denseAndPeeled(g, d, s)
@@ -345,7 +339,7 @@ class GreedySpec extends AnyFunSuite {
   }
 
   test("interleaved (d, s, k) queries on one graph equal those on a freshly built copy, counters included") {
-    val g = shifted(TestGraphs.random(432, 70, 6, 0.12), 10)
+    val g = TestGraphs.shifted(TestGraphs.random(432, 70, 6, 0.12), 10)
     def copy = MLGraph.fromEdges(g.numLayers, g.numVertices, g.edgeTriples)
     val queries = Seq((2, 2, 3), (2, 2, 5), (3, 2, 2), (2, 2, 3), (2, 3, 4), (2, 3, 1),
                       (3, 2, 6), (2, 2, 15), (1, 4, 6), (2, 3, 4), (1, 4, 1), (3, 2, 2))
