@@ -6,8 +6,8 @@ package repro.core
   *
   * Over the whole vertex set the d-cores of every d are nested, so one
   * core decomposition per layer ([[MLGraph.coreNumbers]]) answers them all:
-  * `C^d(G_i) = { v : core_i(v) ≥ d }`. [[allLayers]] without a subset reads
-  * that threshold; inside a subset it still peels.
+  * `C^d(G_i) = { v : core_i(v) ≥ d }`, which [[allLayers]] reads. Inside a
+  * vertex subset, [[Preprocess.vertexDeletion]] peels each layer itself.
   */
 object DCore {
 
@@ -19,16 +19,15 @@ object DCore {
               within: Array[Int] = null): Array[Int] =
     Dcc.compute(g, Array(layer), d, within)
 
-  /** d-cores of every layer, each sorted. With no subset, the threshold
-    * `{ v : g.coreNumbers(i)(v) ≥ d }` (every vertex when d ≤ 0, as in
-    * [[Dcc.compute]]); within a subset, one peel per layer. Either way the
-    * l layers run on the common fork-join pool, each into its own slot.
+  /** d-cores of every layer over the whole graph, each sorted: the
+    * threshold `{ v : g.coreNumbers(i)(v) ≥ d }` (every vertex when d ≤ 0,
+    * as in [[Dcc.compute]]), the l layers on the common fork-join pool,
+    * each into its own slot.
     */
-  def allLayers(g: MLGraph, d: Int, within: Array[Int] = null): Array[Array[Int]] =
-    if (within == null) {
-      val cn = g.coreNumbers
-      Par.tabulate(g.numLayers)(i => atLeast(cn(i), d))
-    } else Par.tabulate(g.numLayers)(i => compute(g, i, d, within))
+  def allLayers(g: MLGraph, d: Int): Array[Array[Int]] = {
+    val cn = g.coreNumbers
+    Par.tabulate(g.numLayers)(i => atLeast(cn(i), d))
+  }
 
   /** Ids `v` with `core(v) >= d`, ascending. */
   private def atLeast(core: Array[Int], d: Int): Array[Int] = {
@@ -99,14 +98,5 @@ object DCore {
       i += 1
     }
     deg
-  }
-
-  /** Support number Num(v) = |{ i : v ∈ C^d(G_i) }| for every vertex,
-    * given precomputed per-layer cores.
-    */
-  def supportNum(numVertices: Int, cores: Array[Array[Int]]): Array[Int] = {
-    val num = new Array[Int](numVertices)
-    cores.foreach(_.foreach(v => num(v) += 1))
-    num
   }
 }

@@ -6,13 +6,16 @@ package repro.core
   * The candidates are peeled on G[A] ([[Preprocess.Survivors]]), and only
   * the picked cores are mapped back to the ids of `g`.
   *
-  * A candidate whose Lemma-1 bound `B = ∩_{i∈L} C_i` is as large as each
-  * of its layer cores is its own d-CC, unpeeled: `B ⊆ C_i`, so
-  * `|B| = |C_i|` means `B = C_i`, which is d-dense on layer i; dense on
-  * every layer of L, B is the d-CC, the largest such set inside the bound.
-  * Such a candidate costs O(s) compares, and G[A] is built only when some
-  * layer core is smaller than A, so that a candidate may need a peel.
-  * `dccCalls` still counts one d-CC evaluation per candidate.
+  * Each layer core `C_i` is held as a bitset of ⌈|A|/64⌉ longs, so a
+  * candidate's Lemma-1 bound `B = ∩_{i∈L} C_i` is the AND of s bitsets
+  * and |B| a popcount. A candidate whose bound is as large as each of its
+  * layer cores is its own d-CC, unpeeled: `B ⊆ C_i`, so `|B| = |C_i|`
+  * means `B = C_i`, which is d-dense on layer i; dense on every layer of
+  * L, B is the d-CC, the largest such set inside the bound. Such a
+  * candidate costs O(s·|A|/64) word operations, and G[A] is built only
+  * when some layer core is smaller than A, so that a candidate may need a
+  * peel; any other candidate decodes B and peels inside it. `dccCalls`
+  * still counts one d-CC evaluation per candidate.
   *
   * Lines 1-7 do not read k. Their result, the candidate family F (the
   * survivors, the deletion rounds, the layer sets and each candidate d-CC
@@ -75,33 +78,81 @@ object GreedyDCCS {
     val cores = a.layerCores
 
     // Lines 4-7 on G[A]: one candidate per layer subset of size s, computed
-    // inside the intersection bound of Lemma 1; a bound as large as each of
-    // its layer cores is that d-CC (see above), so G[A] is needed only if
-    // some layer core is smaller than A. It is built here, not by the first
-    // pooled candidate while the others wait on the lazy val. The candidates
-    // run on the common fork-join pool, each into its combination's slot,
-    // so selection sees the enumeration order.
+    // inside the intersection bound of Lemma 1, the AND of its layer cores'
+    // bitsets; a bound as large as each of its layer cores is that d-CC (see
+    // above), so G[A] is needed only if some layer core is smaller than A.
+    // It is built here, not by the first pooled candidate while the others
+    // wait on the lazy val. The candidates run on the common fork-join pool,
+    // each into its combination's slot, so selection sees the enumeration
+    // order.
     if (cores.exists(_.length < a.ids.length)) a.graph
     val words = (a.ids.length + 63) >>> 6
+    val coreBits = cores.map(bitset(_, words))
     val combos = (0 until g.numLayers).combinations(s).toArray
     val cands = Par.tabulate(combos.length) { c =>
       val combo = combos(c)
-      val bound = SetOps.intersectAll(combo.map(cores))
-      val cc =
-        if (bound.isEmpty || combo.forall(cores(_).length == bound.length)) bound
-        else Dcc.compute(a.graph, combo.toArray, d, bound)
-      val bits = new Array[Long](words)
-      cc.foreach(x => bits(x >>> 6) |= 1L << x)
-      bits
+      val b = bound(coreBits, combo)
+      val size = popcount(b)
+      if (size == 0 || dense(cores, combo, size)) b
+      else bitset(Dcc.compute(a.graph, combo.toArray, d, decode(b)), words)
     }
     new Family(d, s, a.ids, a.pre.rounds, combos.map(_.toVector), cands)
   }
 
-  /** The members of a bitset, ascending (`BitSet` reads the same layout:
-    * bit x is bit x % 64 of word x / 64).
+  /** Lemma 1's bound of the layer set `combo`, `∩_{i∈L} C_i`, as the AND of
+    * its layer cores' bitsets.
     */
-  private def decode(bits: Array[Long]): Array[Int] =
-    java.util.BitSet.valueOf(bits).stream().toArray
+  private[core] def bound(coreBits: Array[Array[Long]], combo: IndexedSeq[Int]): Array[Long] = {
+    val b = coreBits(combo(0)).clone()
+    var j = 1
+    while (j < combo.length) {
+      val c = coreBits(combo(j))
+      var w = 0
+      while (w < b.length) { b(w) &= c(w); w += 1 }
+      j += 1
+    }
+    b
+  }
+
+  /** Is a bound of `size` members as large as each of the layer cores of
+    * `combo`, and so its own d-CC (see above)?
+    */
+  private[core] def dense(cores: Array[Array[Int]], combo: IndexedSeq[Int], size: Int): Boolean =
+    combo.forall(cores(_).length == size)
+
+  /** `xs` (ids below 64·words) as a bitset of `words` longs: bit x is bit
+    * x % 64 of word x / 64.
+    */
+  private[core] def bitset(xs: Array[Int], words: Int): Array[Long] = {
+    val bits = new Array[Long](words)
+    var k = 0
+    while (k < xs.length) { bits(xs(k) >>> 6) |= 1L << xs(k); k += 1 }
+    bits
+  }
+
+  private def popcount(bits: Array[Long]): Int = {
+    var n = 0
+    var w = 0
+    while (w < bits.length) { n += java.lang.Long.bitCount(bits(w)); w += 1 }
+    n
+  }
+
+  /** The members of a bitset, ascending. */
+  private[core] def decode(bits: Array[Long]): Array[Int] = {
+    val out = new Array[Int](popcount(bits))
+    var n = 0
+    var w = 0
+    while (w < bits.length) {
+      var word = bits(w)
+      while (word != 0) {
+        out(n) = (w << 6) + java.lang.Long.numberOfTrailingZeros(word)
+        n += 1
+        word &= word - 1
+      }
+      w += 1
+    }
+    out
+  }
 
   /** Lines 8-10: greedy max-cover selection of up to `k` of the candidate
     * bitsets by marginal gain; among equal gains the earliest candidate
@@ -137,6 +188,6 @@ object GreedyDCCS {
       picks(j) = best
       j += 1
     }
-    (picks, covered.iterator.map(java.lang.Long.bitCount).sum)
+    (picks, popcount(covered))
   }
 }

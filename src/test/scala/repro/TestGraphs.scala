@@ -1,6 +1,7 @@
 package repro
 
 import repro.core.MLGraph
+import repro.graphgen.MLSynth
 import scala.util.Random
 
 /** Deterministic random multi-layer graphs for tests. */
@@ -55,6 +56,19 @@ object TestGraphs {
       if u != v
     } yield (li, math.min(u, v), math.max(u, v))
     MLGraph.fromEdges(l, n, edges)
+  }
+
+  /** The `preset` stand-in with a quarter of its vertices, communities and
+    * background edges, every community of the preset's mean size: the
+    * graphs of the `perfbench` workloads (stack: n = 7,500, l = 24;
+    * english: n = 7,500, l = 15).
+    */
+  def quarter(preset: String, seed: Long): MLGraph = {
+    val p = MLSynth.presets(preset)
+    val size = (p.minCommSize + p.maxCommSize) / 2
+    MLSynth.generate(p.copy(n = p.n / 4, nCommunities = p.nCommunities / 4,
+      minCommSize = size, maxCommSize = size, bgEdgesPerLayer = p.bgEdgesPerLayer / 4,
+      seed = seed)).graph
   }
 
   /** `g` with `by` isolated vertices in front: every id moves up by `by`. */

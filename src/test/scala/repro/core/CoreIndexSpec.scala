@@ -21,7 +21,7 @@ class CoreIndexSpec extends AnyFunSuite {
     val levelOf = Array.fill(g.numVertices)(-1)
     val lvOf = new Array[Array[Int]](g.numVertices)
     var act = active
-    var cores = DCore.allLayers(g, d, act).map(_.toSet)
+    var cores = NestedDeletion.layerCores(g, d, act).map(_.toSet)
     var level = 0
     var h = 1
     while (h <= l && act.nonEmpty) {
@@ -34,7 +34,7 @@ class CoreIndexSpec extends AnyFunSuite {
         }
         level += 1
         act = act.filterNot(batch.toSet)
-        cores = DCore.allLayers(g, d, act).map(_.toSet)
+        cores = NestedDeletion.layerCores(g, d, act).map(_.toSet)
       }
     }
     (levelOf, lvOf)

@@ -121,7 +121,7 @@ class DccSpec extends AnyFunSuite {
     for (li <- 0 until 4; d <- 1 to 3)
       assert(DCore.compute(g, li, d).toSeq == Dcc.compute(g, Array(li), d).toSeq)
     val cores = DCore.allLayers(g, 2)
-    val num = DCore.supportNum(g.numVertices, cores)
+    val num = NestedDeletion.supportNum(g.numVertices, cores)
     (0 until g.numVertices).foreach { v =>
       assert(num(v) == cores.count(_.contains(v)))
     }

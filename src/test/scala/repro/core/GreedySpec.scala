@@ -8,8 +8,8 @@ import scala.util.Random
 
 class GreedySpec extends AnyFunSuite {
 
-  /** GD written out sequentially: vertex deletion with one `DCore.compute`
-    * per layer and round, candidates peeled in enumeration order inside
+  /** GD written out sequentially: the nested vertex deletion
+    * ([[NestedDeletion]]), candidates peeled in enumeration order inside
     * their Lemma-1 bound, then greedy selection taking the first maximum.
     * Returns (layers, vertices) of each pick and the cover size.
     */
@@ -23,18 +23,8 @@ class GreedySpec extends AnyFunSuite {
     */
   private def sequentialRun(g: MLGraph, d: Int, s: Int, k: Int)
       : ((Vector[(Vector[Int], Seq[Int])], Int), Int, Int) = {
-    def coresWithin(active: Array[Int]) =
-      Array.tabulate(g.numLayers)(i => DCore.compute(g, i, d, active))
-    var active = Array.range(0, g.numVertices)
-    var cores = coresWithin(active)
-    var rounds = 1
-    var stable = false
-    while (!stable) {
-      val num = DCore.supportNum(g.numVertices, cores)
-      val keep = active.filter(num(_) >= s)
-      if (keep.length == active.length) stable = true
-      else { active = keep; cores = coresWithin(active); rounds += 1 }
-    }
+    val pre = NestedDeletion.run(g, d, s)
+    val cores = pre.layerCores
     val cands = (0 until g.numLayers).combinations(s).map { combo =>
       val bound = SetOps.intersectAll(combo.map(cores))
       combo.toVector ->
@@ -50,7 +40,7 @@ class GreedySpec extends AnyFunSuite {
       covered ++= best._2
       picked += best
     }
-    ((picked.result(), covered.size), g.numLayers * rounds + nCands, nCands)
+    ((picked.result(), covered.size), g.numLayers * pre.rounds + nCands, nCands)
   }
 
   private def answer(out: GreedyDCCS.Output): (Vector[(Vector[Int], Seq[Int])], Int) =
@@ -101,13 +91,6 @@ class GreedySpec extends AnyFunSuite {
       j += 1
     }
     (picked.result(), covered.cardinality())
-  }
-
-  /** `vs` (ids below 64·words) as a bitset of `words` longs. */
-  private def bitset(vs: Array[Int], words: Int): Array[Long] = {
-    val out = new Array[Long](words)
-    vs.foreach(v => out(v >>> 6) |= 1L << v)
-    out
   }
 
   /** A graph whose vertex deletion at d = 2 and s <= 3 keeps exactly the
@@ -319,7 +302,7 @@ class GreedySpec extends AnyFunSuite {
       }
       val sets = Array.fill(1 + rng.nextInt(30))(distinct(rng.nextInt(distinct.length)))
       for (k <- Seq(1, 2, 5, sets.length, sets.length + 3)) {
-        val (picks, cover) = GreedyDCCS.select(sets.map(bitset(_, words)), k)
+        val (picks, cover) = GreedyDCCS.select(sets.map(GreedyDCCS.bitset(_, words)), k)
         assert((picks.toVector, cover) == intSelect(sets, k), s"universe=$universe round=$round k=$k")
       }
     }
@@ -336,6 +319,35 @@ class GreedySpec extends AnyFunSuite {
         if (k == 100) assert(out.result.length == out.stats.candidatesGenerated) // k > C(6, s)
       }
     }
+  }
+
+  test("each candidate's bitset bound decodes to the intersection of its layer cores, and is dense where denseAndPeeled says") {
+    val survivors = for (m <- Seq(63, 64, 65, 128); extra <- Seq(0, 20))
+      yield withSurvivors(900 + m + extra, m, extra, 6) -> Seq((2, 2), (2, 3))
+    val random = (1 to 3).flatMap { seed =>
+      Seq(TestGraphs.shifted(TestGraphs.random(1500 + seed, 60, 5, 0.15), 40) ->
+            Seq((1, 2), (2, 2), (2, 3), (3, 4), (2, 5)),
+          TestGraphs.shifted(replicated(1510 + seed, 40, 3, 0.12), 50) ->
+            Seq((1, 2), (2, 3), (3, 2)))
+    }
+    var dense, other = 0
+    for ((g, params) <- survivors ++ random; (d, s) <- params) {
+      val a = new Preprocess.Survivors(g, Preprocess.vertexDeletion(g, d, s))
+      val words = (a.ids.length + 63) >>> 6
+      val coreBits = a.layerCores.map(GreedyDCCS.bitset(_, words))
+      var fired = 0
+      for (combo <- (0 until g.numLayers).combinations(s)) {
+        val clue = s"n=${g.numVertices} d=$d s=$s L=${combo.mkString(",")}"
+        val bound = GreedyDCCS.decode(GreedyDCCS.bound(coreBits, combo))
+        val exp = SetOps.intersectAll(combo.map(a.pre.layerCores))
+        assert(bound.map(a.ids).toSeq == exp.toSeq, clue)
+        val isDense = GreedyDCCS.dense(a.layerCores, combo, bound.length)
+        assert(isDense == combo.forall(a.pre.layerCores(_).length == exp.length), clue)
+        if (isDense) { fired += 1; dense += 1 } else other += 1
+      }
+      assert(fired == denseAndPeeled(g, d, s)._1, s"n=${g.numVertices} d=$d s=$s")
+    }
+    assert(dense > 0 && other > 0)
   }
 
   test("interleaved (d, s, k) queries on one graph equal those on a freshly built copy, counters included") {

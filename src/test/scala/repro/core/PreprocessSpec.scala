@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
+import scala.util.Random
 
 class PreprocessSpec extends AnyFunSuite {
 
@@ -11,7 +12,7 @@ class PreprocessSpec extends AnyFunSuite {
 
     test(s"survivors all have Num(v) >= s (seed=$seed)") {
       val st = Preprocess.vertexDeletion(g, d, s)
-      val num = DCore.supportNum(g.numVertices, st.layerCores)
+      val num = NestedDeletion.supportNum(g.numVertices, st.layerCores)
       st.active.foreach(v => assert(num(v) >= s))
     }
 
@@ -71,10 +72,9 @@ class PreprocessSpec extends AnyFunSuite {
   test("allLayers equals one DCore.compute per layer") {
     for (seed <- 1 to 4; l <- Seq(3, 10)) {
       val g = TestGraphs.random(300 + seed, 40, l, 0.12)
-      val within = Array.range(0, 40).filter(_ % 3 != 0)
-      for (d <- 0 to 4; w <- Seq(null, within)) {
-        val got = DCore.allLayers(g, d, w)
-        val exp = Array.tabulate(l)(i => DCore.compute(g, i, d, w))
+      for (d <- 0 to 4) {
+        val got = DCore.allLayers(g, d)
+        val exp = Array.tabulate(l)(i => DCore.compute(g, i, d))
         assert(got.map(_.toSeq).toSeq == exp.map(_.toSeq).toSeq, s"seed=$seed l=$l d=$d")
       }
     }
@@ -91,7 +91,7 @@ class PreprocessSpec extends AnyFunSuite {
   test("with s = 1, only core-less vertices are deleted") {
     val g = TestGraphs.random(201, 25, 3, 0.2)
     val st = Preprocess.vertexDeletion(g, 2, 1)
-    val num = DCore.supportNum(g.numVertices, st.layerCores)
+    val num = NestedDeletion.supportNum(g.numVertices, st.layerCores)
     st.active.foreach(v => assert(num(v) >= 1))
   }
 
@@ -100,5 +100,61 @@ class PreprocessSpec extends AnyFunSuite {
     val st = Preprocess.vertexDeletion(g, 5, 4)
     assert(st.active.isEmpty)
     assert(st.layerCores.forall(_.isEmpty))
+  }
+
+  private def assertSameState(got: Preprocess.State, exp: Preprocess.State, clue: String): Unit = {
+    assert(got.active.toSeq == exp.active.toSeq, clue)
+    assert(got.layerCores.length == exp.layerCores.length, clue)
+    got.layerCores.indices.foreach { i =>
+      assert(got.layerCores(i).toSeq == exp.layerCores(i).toSeq, s"$clue layer=$i")
+    }
+    assert(got.rounds == exp.rounds, clue)
+  }
+
+  /** A random graph of 2-7 layers with some of: an empty layer, a copy of
+    * another layer, isolated vertices in front and at the end; the layer
+    * densities vary, so that deletion takes from one to many rounds.
+    */
+  private def mixed(seed: Long): MLGraph = {
+    val rng = new Random(seed)
+    val l = 2 + rng.nextInt(6)
+    val n = 8 + rng.nextInt(50)
+    val ps = Array.fill(l)(0.03 + 0.3 * rng.nextDouble())
+    val empty = if (rng.nextBoolean()) rng.nextInt(l) else -1
+    val copy = if (l > 2 && rng.nextBoolean()) rng.nextInt(l - 1) else -1 // copied onto layer l - 1
+    val front = if (rng.nextBoolean()) rng.nextInt(6) else 0
+    val back = if (rng.nextBoolean()) rng.nextInt(6) else 0
+    val edges = for {
+      li <- 0 until l if li != empty && !(copy >= 0 && li == l - 1)
+      u <- 0 until n
+      v <- (u + 1) until n
+      if rng.nextDouble() < ps(li)
+      t <- if (li == copy) Seq(li, l - 1) else Seq(li)
+    } yield (t, u + front, v + front)
+    MLGraph.fromEdges(l, front + n + back, edges)
+  }
+
+  test("vertex deletion equals the nested reference on random graphs (every d, every s)") {
+    var multi = 0
+    for (seed <- 1 to 60) {
+      val g = mixed(1300 + seed)
+      for (d <- -1 to 4; s <- 1 to g.numLayers) {
+        val exp = NestedDeletion.run(g, d, s)
+        assertSameState(Preprocess.vertexDeletion(g, d, s), exp, s"seed=$seed d=$d s=$s")
+        if (exp.rounds >= 3) multi += 1
+      }
+    }
+    assert(multi > 0)
+  }
+
+  for (preset <- Seq("stack", "english")) {
+    test(s"vertex deletion equals the nested reference on the $preset-quarter graph") {
+      val g = TestGraphs.quarter(preset, 19)
+      val l = g.numLayers
+      for (s <- Seq(3, l / 2, l - 2, l - 1); d <- Seq(3, 4)) {
+        assertSameState(Preprocess.vertexDeletion(g, d, s), NestedDeletion.run(g, d, s),
+          s"$preset d=$d s=$s")
+      }
+    }
   }
 }
