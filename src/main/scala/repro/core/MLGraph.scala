@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Immutable in-memory multi-layer graph `G = (V, E_1, ..., E_l)`.
   *
   * Vertices are dense integer ids `0 until numVertices`; every layer shares
@@ -125,8 +123,12 @@ object MLGraph {
   def fromEdges(numLayers: Int, numVertices: Int,
                 edges: IterableOnce[(Int, Int, Int)]): MLGraph = {
     // The input may be single-pass: buffer the edges (minus self-loops) as
-    // flat (layer, u, v) ints while counting each endpoint's row length.
-    val buf = new mutable.ArrayBuilder.ofInt
+    // flat (layer, u, v) ints, in one array sized from the input when its
+    // size is known and doubled otherwise, while counting the length of
+    // v's row into offsets(li)(v + 1).
+    val known = edges.knownSize
+    var flat = new Array[Int](if (known >= 0 && known <= (Int.MaxValue - 8) / 3) 3 * known else 48)
+    var len = 0
     val offsets = Array.ofDim[Int](numLayers, numVertices + 1)
     val it = edges.iterator
     while (it.hasNext) {
@@ -135,14 +137,20 @@ object MLGraph {
       require(li >= 0 && li < numLayers, s"bad layer $li")
       require(u >= 0 && u < numVertices && v >= 0 && v < numVertices, s"bad edge ($u,$v)")
       if (u != v) {
-        buf.addOne(li).addOne(u).addOne(v)
-        offsets(li)(u) += 1; offsets(li)(v) += 1
+        if (len + 3 > flat.length)
+          flat = java.util.Arrays.copyOf(flat, math.min(2L * flat.length + 48, Int.MaxValue - 8L).toInt)
+        flat(len) = li; flat(len + 1) = u; flat(len + 2) = v
+        len += 3
+        offsets(li)(u + 1) += 1; offsets(li)(v + 1) += 1
       }
     }
-    val flat = buf.result()
 
-    // offsets(li)(v) = end of the row of v (an inclusive prefix sum); the
-    // scatter counts it down to the row's start.
+    // offsets(li)(v) = start of the row of v (a prefix sum over the counts);
+    // the scatter fills each row upward in input order and leaves
+    // offsets(li)(v) at the row's end, which the de-duplication pass below
+    // reads before it writes the row's final start there. Input in
+    // edgeTriples order thus gives ascending rows, which the sort passes
+    // over in linear time.
     val targets = new Array[Array[Int]](numLayers)
     var li = 0
     while (li < numLayers) {
@@ -153,11 +161,11 @@ object MLGraph {
       li += 1
     }
     var e = 0
-    while (e < flat.length) {
+    while (e < len) {
       val off = offsets(flat(e)); val tgt = targets(flat(e))
       val u = flat(e + 1); val v = flat(e + 2)
-      off(u) -= 1; tgt(off(u)) = v
-      off(v) -= 1; tgt(off(v)) = u
+      tgt(off(u)) = v; off(u) += 1
+      tgt(off(v)) = u; off(v) += 1
       e += 3
     }
     // Sort and de-duplicate each row in place, moving it down over the
@@ -170,7 +178,7 @@ object MLGraph {
       var w = 0
       var v = 0
       while (v < numVertices) {
-        val hi = off(v + 1)
+        val hi = off(v)
         off(v) = w
         w = sortDistinct(tgt, lo, hi, w)
         lo = hi

@@ -102,15 +102,30 @@ class MLGraphSpec extends AnyFunSuite {
     (n, rng.shuffle(base ++ dups ++ base.take(base.length / 4)), emptyLayer, isolated)
   }
 
-  /** fromEdges on [[randomEdges]] against [[sortedSetAdj]]. */
+  /** fromEdges on [[randomEdges]] against [[sortedSetAdj]], with the edges
+    * given in four forms: an Iterator (size unknown, so the buffer grows),
+    * an Array (size known), and sorted ascending and descending by
+    * (layer, u, v). All four must build the same CSR arrays.
+    */
   private def checkAgainstSortedSet(rng: Random, l: Int): Unit = {
     val (n, edges, emptyLayer, isolated) = randomEdges(rng, l)
-    val g = MLGraph.fromEdges(l, n, edges.iterator)
     val ref = sortedSetAdj(l, n, edges)
-    for (li <- 0 until l; v <- 0 until n)
-      assert(g.neighbors(li, v).sameElements(ref(li)(v)), s"layer $li vertex $v")
-    assert(g.edgeCount(emptyLayer) == 0)
-    isolated.foreach(v => (0 until l).foreach(li => assert(g.degree(li, v) == 0)))
+    val array = edges.toArray[(Int, Int, Int)]
+    val asc = array.sorted
+    def build(input: IterableOnce[(Int, Int, Int)]) = MLGraph.fromEdges(l, n, input)
+    val graphs = Seq("iterator" -> build(edges.iterator), "array" -> build(array),
+                     "ascending" -> build(asc), "descending" -> build(asc.reverse))
+    val first = graphs.head._2
+    for ((form, g) <- graphs) {
+      for (li <- 0 until l) {
+        assert(g.offsets(li).sameElements(first.offsets(li)), s"$form offsets, layer $li")
+        assert(g.targets(li).sameElements(first.targets(li)), s"$form targets, layer $li")
+        for (v <- 0 until n)
+          assert(g.neighbors(li, v).sameElements(ref(li)(v)), s"$form layer $li vertex $v")
+      }
+      assert(g.edgeCount(emptyLayer) == 0)
+      isolated.foreach(v => (0 until l).foreach(li => assert(g.degree(li, v) == 0)))
+    }
   }
 
   for (seed <- 1 to 8) {
