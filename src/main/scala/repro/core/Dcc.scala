@@ -57,7 +57,7 @@ object Dcc {
         var c = 0
         var j = off(v)
         val hi = off(v + 1)
-        while (j < hi) { if (local(tgt(j)) != 0) c += 1; j += 1 }
+        while (j < hi) { c += -local(tgt(j)) >>> 31; j += 1 } // 1 inside the scope
         deg(base + x) = c
         if (c < d && !dead(x)) { dead(x) = true; stack(top) = x; top += 1 }
         x += 1

@@ -3,19 +3,24 @@ package repro.core
 /** GD-DCCS (Fig. 2): generate all C(l, s) candidate d-CCs, then pick k of
   * them greedily by marginal cover gain. (1 - 1/e)-approximate.
   *
-  * The candidates are peeled on G[A] ([[Preprocess.Survivors]]), and only
-  * the picked cores are mapped back to the ids of `g`.
-  *
-  * Each layer core `C_i` is held as a bitset of ⌈|A|/64⌉ longs, so a
-  * candidate's Lemma-1 bound `B = ∩_{i∈L} C_i` is the AND of s bitsets
-  * and |B| a popcount. A candidate whose bound is as large as each of its
-  * layer cores is its own d-CC, unpeeled: `B ⊆ C_i`, so `|B| = |C_i|`
-  * means `B = C_i`, which is d-dense on layer i; dense on every layer of
-  * L, B is the d-CC, the largest such set inside the bound. Such a
-  * candidate costs O(s·|A|/64) word operations, and G[A] is built only
-  * when some layer core is smaller than A, so that a candidate may need a
-  * peel; any other candidate decodes B and peels inside it. `dccCalls`
-  * still counts one d-CC evaluation per candidate.
+  * Lines 1-7 work in the survivors A of vertex deletion
+  * ([[Preprocess.Survivors]]), in A's local ids; only the picked cores are
+  * mapped back to the ids of `g`. Each layer core `C_i` is a bitset of
+  * ⌈|A|/64⌉ longs ([[Bits]]), so a candidate's Lemma-1 bound
+  * `B = ∩_{i∈L} C_i` is the AND of s bitsets and |B| a popcount. A bound as
+  * large as each of its layer cores is its own d-CC ([[Bits.dense]]) and
+  * costs O(s·|A|/64) words. Every other candidate is peeled inside B, on
+  * one of two walks that one rule ([[bitRows]]) picks for the whole
+  * family:
+  *  - on bit rows ([[Bits.peel]]) when a row of ⌈|A|/64⌉ words is no longer
+  *    than the mean degree in g of the layer cores' members, so that a
+  *    degree is a popcount over no more words than the CSR row it replaces
+  *    has entries, and the rows take no more longs than those CSR rows take
+  *    ints;
+  *  - otherwise with `Dcc.compute` on G[A].
+  * When every layer core is A, no candidate needs a peel, and neither the
+  * rows nor G[A] is built. `dccCalls` counts one d-CC evaluation per
+  * candidate, whichever way it was found.
   *
   * Lines 1-7 do not read k. Their result, the candidate family F (the
   * survivors, the deletion rounds, the layer sets and each candidate d-CC
@@ -64,7 +69,7 @@ object GreedyDCCS {
 
     val (picks, cover) = select(f.cands, k)
     // back to the ids of g; the relabelling is monotone, so still sorted
-    val result = picks.toVector.map(c => Core(f.layerSets(c), decode(f.cands(c)).map(f.ids)))
+    val result = picks.toVector.map(c => Core(f.layerSets(c), Bits.decode(f.cands(c)).map(f.ids)))
     // l layer d-cores per preprocessing round (round 1 reads them from the
     // core numbers, later rounds peel them), one dCC call per candidate
     Output(result, cover,
@@ -77,81 +82,48 @@ object GreedyDCCS {
     val a = new Preprocess.Survivors(g, Preprocess.vertexDeletion(g, d, s))
     val cores = a.layerCores
 
-    // Lines 4-7 on G[A]: one candidate per layer subset of size s, computed
-    // inside the intersection bound of Lemma 1, the AND of its layer cores'
-    // bitsets; a bound as large as each of its layer cores is that d-CC (see
-    // above), so G[A] is needed only if some layer core is smaller than A.
-    // It is built here, not by the first pooled candidate while the others
-    // wait on the lazy val. The candidates run on the common fork-join pool,
-    // each into its combination's slot, so selection sees the enumeration
-    // order.
-    if (cores.exists(_.length < a.ids.length)) a.graph
+    // Lines 4-7: one candidate per layer subset of size s, inside its
+    // Lemma-1 bound, on the walk the rule picks (see above). The rows or G[A]
+    // are built here, not by the first pooled candidate while the others
+    // wait on the lazy val, and stay local to this call. The candidates run
+    // on the common fork-join pool, each into its combination's slot, so
+    // selection sees the enumeration order.
     val words = (a.ids.length + 63) >>> 6
-    val coreBits = cores.map(bitset(_, words))
+    val mayPeel = cores.exists(_.length < a.ids.length)
+    val rows = if (mayPeel && bitRows(g, a.ids, cores, words)) Bits.rows(g, a.ids, cores, words) else null
+    val h = if (mayPeel && rows == null) a.graph else null
+    val coreBits = cores.map(Bits.bitset(_, words))
     val combos = (0 until g.numLayers).combinations(s).toArray
     val cands = Par.tabulate(combos.length) { c =>
       val combo = combos(c)
-      val b = bound(coreBits, combo)
-      val size = popcount(b)
-      if (size == 0 || dense(cores, combo, size)) b
-      else bitset(Dcc.compute(a.graph, combo.toArray, d, decode(b)), words)
+      val b = Bits.bound(coreBits, combo)
+      val size = Bits.popcount(b)
+      if (size == 0 || Bits.dense(cores, combo, size)) b
+      else if (rows != null) Bits.peel(rows, combo.toArray, d, b)
+      else Bits.bitset(Dcc.compute(h, combo.toArray, d, Bits.decode(b)), words)
     }
     new Family(d, s, a.ids, a.pre.rounds, combos.map(_.toVector), cands)
   }
 
-  /** Lemma 1's bound of the layer set `combo`, `∩_{i∈L} C_i`, as the AND of
-    * its layer cores' bitsets.
+  /** GD's rule for its candidate peels: bit rows of `words` longs when
+    * `words` is at most the mean degree in g of the members of the layer
+    * cores `cores` (local ids of the survivors `ids`), read from g's
+    * offsets in O(Σ|C_i|); `Dcc.compute` on G[A] otherwise.
     */
-  private[core] def bound(coreBits: Array[Array[Long]], combo: IndexedSeq[Int]): Array[Long] = {
-    val b = coreBits(combo(0)).clone()
-    var j = 1
-    while (j < combo.length) {
-      val c = coreBits(combo(j))
-      var w = 0
-      while (w < b.length) { b(w) &= c(w); w += 1 }
-      j += 1
+  private[core] def bitRows(g: MLGraph, ids: Array[Int], cores: Array[Array[Int]],
+                            words: Int): Boolean = {
+    var members = 0L
+    var degrees = 0L
+    var i = 0
+    while (i < cores.length) {
+      val off = g.offsets(i)
+      val core = cores(i)
+      members += core.length
+      var k = 0
+      while (k < core.length) { val v = ids(core(k)); degrees += off(v + 1) - off(v); k += 1 }
+      i += 1
     }
-    b
-  }
-
-  /** Is a bound of `size` members as large as each of the layer cores of
-    * `combo`, and so its own d-CC (see above)?
-    */
-  private[core] def dense(cores: Array[Array[Int]], combo: IndexedSeq[Int], size: Int): Boolean =
-    combo.forall(cores(_).length == size)
-
-  /** `xs` (ids below 64·words) as a bitset of `words` longs: bit x is bit
-    * x % 64 of word x / 64.
-    */
-  private[core] def bitset(xs: Array[Int], words: Int): Array[Long] = {
-    val bits = new Array[Long](words)
-    var k = 0
-    while (k < xs.length) { bits(xs(k) >>> 6) |= 1L << xs(k); k += 1 }
-    bits
-  }
-
-  private def popcount(bits: Array[Long]): Int = {
-    var n = 0
-    var w = 0
-    while (w < bits.length) { n += java.lang.Long.bitCount(bits(w)); w += 1 }
-    n
-  }
-
-  /** The members of a bitset, ascending. */
-  private[core] def decode(bits: Array[Long]): Array[Int] = {
-    val out = new Array[Int](popcount(bits))
-    var n = 0
-    var w = 0
-    while (w < bits.length) {
-      var word = bits(w)
-      while (word != 0) {
-        out(n) = (w << 6) + java.lang.Long.numberOfTrailingZeros(word)
-        n += 1
-        word &= word - 1
-      }
-      w += 1
-    }
-    out
+    words * members <= degrees
   }
 
   /** Lines 8-10: greedy max-cover selection of up to `k` of the candidate
@@ -188,6 +160,6 @@ object GreedyDCCS {
       picks(j) = best
       j += 1
     }
-    (picks, popcount(covered))
+    (picks, Bits.popcount(covered))
   }
 }

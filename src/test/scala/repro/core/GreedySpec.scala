@@ -302,7 +302,7 @@ class GreedySpec extends AnyFunSuite {
       }
       val sets = Array.fill(1 + rng.nextInt(30))(distinct(rng.nextInt(distinct.length)))
       for (k <- Seq(1, 2, 5, sets.length, sets.length + 3)) {
-        val (picks, cover) = GreedyDCCS.select(sets.map(GreedyDCCS.bitset(_, words)), k)
+        val (picks, cover) = GreedyDCCS.select(sets.map(Bits.bitset(_, words)), k)
         assert((picks.toVector, cover) == intSelect(sets, k), s"universe=$universe round=$round k=$k")
       }
     }
@@ -334,20 +334,76 @@ class GreedySpec extends AnyFunSuite {
     for ((g, params) <- survivors ++ random; (d, s) <- params) {
       val a = new Preprocess.Survivors(g, Preprocess.vertexDeletion(g, d, s))
       val words = (a.ids.length + 63) >>> 6
-      val coreBits = a.layerCores.map(GreedyDCCS.bitset(_, words))
+      val coreBits = a.layerCores.map(Bits.bitset(_, words))
       var fired = 0
       for (combo <- (0 until g.numLayers).combinations(s)) {
         val clue = s"n=${g.numVertices} d=$d s=$s L=${combo.mkString(",")}"
-        val bound = GreedyDCCS.decode(GreedyDCCS.bound(coreBits, combo))
+        val bound = Bits.decode(Bits.bound(coreBits, combo))
         val exp = SetOps.intersectAll(combo.map(a.pre.layerCores))
         assert(bound.map(a.ids).toSeq == exp.toSeq, clue)
-        val isDense = GreedyDCCS.dense(a.layerCores, combo, bound.length)
+        val isDense = Bits.dense(a.layerCores, combo, bound.length)
         assert(isDense == combo.forall(a.pre.layerCores(_).length == exp.length), clue)
         if (isDense) { fired += 1; dense += 1 } else other += 1
       }
       assert(fired == denseAndPeeled(g, d, s)._1, s"n=${g.numVertices} d=$d s=$s")
     }
     assert(dense > 0 && other > 0)
+  }
+
+  test("the bit-row peel equals Dcc.compute on G[A], on Lemma-1 bounds and on random parts of them") {
+    val rng = new Random(1600)
+    var emptied, shrunk, outside = 0
+    val graphs = (1 to 2).flatMap { seed =>
+      Seq(TestGraphs.random(1600 + seed, 70, 5, 0.1),
+          TestGraphs.shifted(TestGraphs.random(1610 + seed, 60, 4, 0.15), 45),
+          TestGraphs.shifted(replicated(1620 + seed, 50, 3, 0.1), 30))
+    }
+    for (g <- graphs; (d, s) <- Seq((0, 1), (1, 1), (2, 1), (2, 2), (3, 2), (1, g.numLayers), (2, g.numLayers))) {
+      val a = new Preprocess.Survivors(g, Preprocess.vertexDeletion(g, d, s))
+      val words = (a.ids.length + 63) >>> 6
+      val rows = Bits.rows(g, a.ids, a.layerCores, words)
+      val coreBits = a.layerCores.map(Bits.bitset(_, words))
+      for (combo <- (0 until g.numLayers).combinations(s)) {
+        val bound = Bits.bound(coreBits, combo)
+        // a part of the bound: its members keep neighbours outside it
+        val part = Bits.bitset(Bits.decode(bound).filter(_ => rng.nextDouble() < 0.7), words)
+        for (b <- Seq(bound, part); dd <- Seq(-1, 0, d, d + 1, d + 20)) {
+          val clue = s"n=${g.numVertices} d=$d s=$s L=${combo.mkString(",")} peel d=$dd"
+          val members = Bits.decode(b)
+          val exp = Dcc.compute(a.graph, combo.toArray, dd, members)
+          val got = Bits.decode(Bits.peel(rows, combo.toArray, dd, b.clone()))
+          assert(got.toSeq == exp.toSeq, clue)
+          if (members.nonEmpty && got.isEmpty) emptied += 1
+          if (got.nonEmpty && got.length < members.length) shrunk += 1
+          if (members.exists(x => combo.exists(i => (0 until words).exists(w => (rows(i)(x)(w) & ~b(w)) != 0))))
+            outside += 1
+        }
+      }
+    }
+    assert(emptied > 0 && shrunk > 0 && outside > 0)
+  }
+
+  test("GD takes each side of the bit-row rule and equals the sequential GD on both") {
+    // withSurvivors' layers have mean degree about 2.5: 60 survivors fit one
+    // word, so GD peels on bit rows; 200 and 300 take 4 and 5 words, so GD
+    // peels with Dcc.compute on G[A]
+    val sides = mutable.Set.empty[Boolean]
+    for (m <- Seq(60, 200, 300); seed <- 1 to 2; s <- Seq(2, 3)) {
+      val g = withSurvivors(1700 + m + seed, m, 20, 6)
+      val a = new Preprocess.Survivors(g, Preprocess.vertexDeletion(g, 2, s))
+      assert(a.ids.toSeq == (0 until m))
+      assert(a.layerCores.exists(_.length < m)) // some candidate may need a peel
+      assert(denseAndPeeled(g, 2, s)._2 > 0)
+      val words = (m + 63) / 64
+      val coreDegrees = a.layerCores.indices.flatMap(i => a.layerCores(i).map(g.degree(i, _)))
+      val side = GreedyDCCS.bitRows(g, a.ids, a.layerCores, words)
+      assert(side == words <= coreDegrees.sum.toDouble / coreDegrees.length, s"m=$m seed=$seed s=$s")
+      sides += side
+      for (k <- Seq(1, 4, 20))
+        assert(answerAndStats(GreedyDCCS.run(g, 2, s, k)) == sequentialRun(g, 2, s, k),
+          s"m=$m seed=$seed s=$s k=$k")
+    }
+    assert(sides == Set(true, false))
   }
 
   test("interleaved (d, s, k) queries on one graph equal those on a freshly built copy, counters included") {
