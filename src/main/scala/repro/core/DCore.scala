@@ -1,8 +1,7 @@
 package repro.core
 
-/** Single-layer d-core `C^d(G_i)` (Batagelj-Zaversnik peel [3]); by
-  * definition `C^d(G_i) = C^d_{{i}}(G)`, so this is the one-layer
-  * specialization of [[Dcc]].
+/** Single-layer d-cores `C^d(G_i)` (Batagelj-Zaversnik [3]); by
+  * definition `C^d(G_i) = C^d_{{i}}(G)`, the one-layer case of [[Dcc]].
   *
   * Over the whole vertex set the d-cores of every d are nested, so one
   * core decomposition per layer ([[MLGraph.coreNumbers]]) answers them all:
@@ -10,14 +9,6 @@ package repro.core
   * vertex subset, [[Preprocess.vertexDeletion]] peels each layer itself.
   */
 object DCore {
-
-  /** d-core of layer `layer` of `g`, optionally within a vertex subset.
-    * Always peels; this is the reference the core numbers are tested
-    * against.
-    */
-  def compute(g: MLGraph, layer: Int, d: Int,
-              within: Array[Int] = null): Array[Int] =
-    Dcc.compute(g, Array(layer), d, within)
 
   /** d-cores of every layer over the whole graph, each sorted: the
     * threshold `{ v : g.coreNumbers(i)(v) ≥ d }` (every vertex when d ≤ 0,

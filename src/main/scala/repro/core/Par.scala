@@ -8,8 +8,9 @@ private[core] object Par {
 
   /** `Array.tabulate(n)(f)` with the calls to `f` spread over the JVM's
     * common `ForkJoinPool`. Slot `i` holds `f(i)` whatever thread ran it,
-    * so the result equals the sequential one; `f` must not write shared
-    * state.
+    * so the result equals the sequential one; `f` may write shared state
+    * only where no other call reads or writes it (such as its own range of
+    * a shared array).
     */
   def tabulate[T: ClassTag](n: Int)(f: Int => T): Array[T] = {
     val out = new Array[T](n)

@@ -74,7 +74,7 @@ class BottomUpSpec extends AnyFunSuite {
     val g = TestGraphs.random(541, 25, 3, 0.2)
     val out = BottomUpDCCS.run(g, 2, 1, 3)
     out.result.foreach { c =>
-      assert(c.vertices.toSeq == DCore.compute(g, c.layers.head, 2).toSeq)
+      assert(c.vertices.toSeq == NestedDeletion.dCore(g, c.layers.head, 2).toSeq)
     }
   }
 

@@ -119,7 +119,7 @@ class DccSpec extends AnyFunSuite {
   test("DCore matches single-layer Dcc and supportNum counts correctly") {
     val g = TestGraphs.random(21, 40, 4, 0.15)
     for (li <- 0 until 4; d <- 1 to 3)
-      assert(DCore.compute(g, li, d).toSeq == Dcc.compute(g, Array(li), d).toSeq)
+      assert(NestedDeletion.dCore(g, li, d).toSeq == Dcc.compute(g, Array(li), d).toSeq)
     val cores = DCore.allLayers(g, 2)
     val num = NestedDeletion.supportNum(g.numVertices, cores)
     (0 until g.numVertices).foreach { v =>

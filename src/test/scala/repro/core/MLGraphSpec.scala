@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
+import java.util.concurrent.{Callable, ForkJoinPool}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -102,10 +103,35 @@ class MLGraphSpec extends AnyFunSuite {
     (n, rng.shuffle(base ++ dups ++ base.take(base.length / 4)), emptyLayer, isolated)
   }
 
+  /** `f` run inside a fork-join pool of one worker, which takes the pool
+    * stages' tasks of a build one at a time.
+    */
+  private def onOneWorker[T](f: => T): T = {
+    val pool = new ForkJoinPool(1)
+    val task: Callable[T] = () => f
+    try pool.submit(task).get
+    finally pool.shutdown()
+  }
+
+  private def assertSameArrays(form: String, g: MLGraph, h: MLGraph): Unit =
+    for (li <- 0 until g.numLayers) {
+      assert(g.offsets(li).sameElements(h.offsets(li)), s"$form offsets, layer $li")
+      assert(g.targets(li).sameElements(h.targets(li)), s"$form targets, layer $li")
+    }
+
+  private def assertMatches(form: String, g: MLGraph, ref: Array[Array[Array[Int]]]): Unit =
+    for (li <- 0 until g.numLayers; v <- 0 until g.numVertices)
+      assert(g.neighbors(li, v).sameElements(ref(li)(v)), s"$form layer $li vertex $v")
+
   /** fromEdges on [[randomEdges]] against [[sortedSetAdj]], with the edges
-    * given in four forms: an Iterator (size unknown, so the buffer grows),
-    * an Array (size known), and sorted ascending and descending by
-    * (layer, u, v). All four must build the same CSR arrays.
+    * given in six forms: an Iterator (size unknown, so the buffer grows),
+    * an Array, a Vector and an ArrayBuffer (indexed, so read in chunks),
+    * and sorted ascending and descending by (layer, u, v); each on the
+    * calling thread and on a one-worker pool, and the Array read in 1, 2,
+    * 3, 7 and one chunk per edge. All must build the same CSR arrays. So
+    * must an Array of its first 1 to 3 edges (fewer than the chunks the
+    * pool asks for), an empty Array and an Array of self-loops only, each
+    * against an Iterator of the same edges and its own reference.
     */
   private def checkAgainstSortedSet(rng: Random, l: Int): Unit = {
     val (n, edges, emptyLayer, isolated) = randomEdges(rng, l)
@@ -113,18 +139,31 @@ class MLGraphSpec extends AnyFunSuite {
     val array = edges.toArray[(Int, Int, Int)]
     val asc = array.sorted
     def build(input: IterableOnce[(Int, Int, Int)]) = MLGraph.fromEdges(l, n, input)
-    val graphs = Seq("iterator" -> build(edges.iterator), "array" -> build(array),
-                     "ascending" -> build(asc), "descending" -> build(asc.reverse))
+    val forms = Seq[(String, () => IterableOnce[(Int, Int, Int)])](
+      "iterator" -> (() => edges.iterator), "array" -> (() => array),
+      "vector" -> (() => edges.toVector), "arrayBuffer" -> (() => mutable.ArrayBuffer.from(edges)),
+      "ascending" -> (() => asc), "descending" -> (() => asc.reverse))
+    val graphs = forms.flatMap { case (form, input) =>
+      Seq(form -> build(input()), s"$form, one worker" -> onOneWorker(build(input())))
+    } ++ Seq(1, 2, 3, 7, array.length).filter(_ >= 1).map { chunks =>
+      s"array in $chunks chunks" -> MLGraph.fromIndexed(l, n, array, chunks)
+    }
     val first = graphs.head._2
     for ((form, g) <- graphs) {
-      for (li <- 0 until l) {
-        assert(g.offsets(li).sameElements(first.offsets(li)), s"$form offsets, layer $li")
-        assert(g.targets(li).sameElements(first.targets(li)), s"$form targets, layer $li")
-        for (v <- 0 until n)
-          assert(g.neighbors(li, v).sameElements(ref(li)(v)), s"$form layer $li vertex $v")
-      }
+      assertSameArrays(form, g, first)
+      assertMatches(form, g, ref)
       assert(g.edgeCount(emptyLayer) == 0)
       isolated.foreach(v => (0 until l).foreach(li => assert(g.degree(li, v) == 0)))
+    }
+
+    val small = Seq("first edges" -> array.take(1 + rng.nextInt(3)),
+                    "empty" -> Array.empty[(Int, Int, Int)],
+                    "self-loops" -> array.map { case (li, u, _) => (li, u, u) })
+    for ((form, input) <- small) {
+      val g = build(input)
+      assertSameArrays(s"$form, iterator", build(input.iterator), g)
+      assertSameArrays(s"$form, one worker", onOneWorker(build(input)), g)
+      assertMatches(form, g, sortedSetAdj(l, n, input.toSeq))
     }
   }
 
@@ -249,6 +288,27 @@ class MLGraphSpec extends AnyFunSuite {
       val g = randomWithGaps(rng, 1 + rng.nextInt(8))
       val ref = sortedSetUnion(g)
       (0 until g.numVertices).foreach(v => assert(g.unionAdj(v).sameElements(ref(v)), s"vertex $v"))
+    }
+  }
+
+  // A bad edge found inside a pool task reaches the caller as the same
+  // IllegalArgumentException, for the first bad edge in input order.
+  test("fromEdges reports the first bad edge in input order, read in chunks or not") {
+    val (l, n) = (3, 10)
+    val good = Array.tabulate(96)(e => (e % l, e % n, (3 * e + 1) % n))
+    val vertexFirst = good.updated(20, (1, 4, n)).updated(95, (l, 0, 1))
+    val layerFirst = good.updated(33, (-1, 2, 2)).updated(80, (0, -1, 3))
+    for ((edges, message) <- Seq(vertexFirst -> s"bad edge (4,$n)", layerFirst -> "bad layer -1")) {
+      val forms = Seq[(String, () => MLGraph)](
+        "array" -> (() => MLGraph.fromEdges(l, n, edges)),
+        "iterator" -> (() => MLGraph.fromEdges(l, n, edges.iterator))) ++
+        Seq(1, 2, 5, 8, 96).map(c => s"$c chunks" -> (() => MLGraph.fromIndexed(l, n, edges, c)))
+      for ((form, build) <- forms;
+           e <- Seq(intercept[IllegalArgumentException](build()),
+                    onOneWorker(intercept[IllegalArgumentException](build())))) {
+        assert(e.getClass == classOf[IllegalArgumentException], form)
+        assert(e.getMessage == s"requirement failed: $message", form)
+      }
     }
   }
 

@@ -29,7 +29,7 @@ class PreprocessSpec extends AnyFunSuite {
     test(s"layer cores returned equal cores within the active set (seed=$seed)") {
       val st = Preprocess.vertexDeletion(g, d, s)
       (0 until g.numLayers).foreach { i =>
-        assert(st.layerCores(i).toSeq == DCore.compute(g, i, d, st.active).toSeq)
+        assert(st.layerCores(i).toSeq == NestedDeletion.dCore(g, i, d, st.active).toSeq)
       }
     }
   }
@@ -56,7 +56,7 @@ class PreprocessSpec extends AnyFunSuite {
         assert(core.length == g.numVertices)
         for (d <- 0 to core.max + 1) {
           val got = (0 until g.numVertices).filter(core(_) >= d)
-          assert(got == DCore.compute(g, i, d).toSeq, s"layer=$i d=$d")
+          assert(got == NestedDeletion.dCore(g, i, d).toSeq, s"layer=$i d=$d")
         }
       }
     }
@@ -74,7 +74,7 @@ class PreprocessSpec extends AnyFunSuite {
       val g = TestGraphs.random(300 + seed, 40, l, 0.12)
       for (d <- 0 to 4) {
         val got = DCore.allLayers(g, d)
-        val exp = Array.tabulate(l)(i => DCore.compute(g, i, d))
+        val exp = Array.tabulate(l)(i => NestedDeletion.dCore(g, i, d))
         assert(got.map(_.toSeq).toSeq == exp.map(_.toSeq).toSeq, s"seed=$seed l=$l d=$d")
       }
     }
@@ -85,7 +85,7 @@ class PreprocessSpec extends AnyFunSuite {
     val st = Preprocess.vertexDeletion(g, 2, 3, enabled = false)
     assert(st.active.toSeq == (0 until 25))
     assert(st.rounds == 1)
-    (0 until 3).foreach(i => assert(st.layerCores(i).toSeq == DCore.compute(g, i, 2).toSeq))
+    (0 until 3).foreach(i => assert(st.layerCores(i).toSeq == NestedDeletion.dCore(g, i, 2).toSeq))
   }
 
   test("with s = 1, only core-less vertices are deleted") {

@@ -104,7 +104,7 @@ class SparkGraphSpec extends SparkSpec {
     val h = SparkGraph.toLocal(SparkGraph.vertexDeletionDF(edges, 2, 1), g.numLayers, g.numVertices)
     for (li <- 0 until g.numLayers)
       assert((0 until g.numVertices).filter(h.degree(li, _) > 0) ==
-             DCore.compute(g, li, 2).toSeq)
+             NestedDeletion.dCore(g, li, 2).toSeq)
   }
 
   test("vertexDeletionDF equals local preprocessing") {
