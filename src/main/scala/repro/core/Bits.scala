@@ -1,8 +1,9 @@
 package repro.core
 
 /** Bitsets over the local ids of the survivors A: a set of ids below 64·w
-  * is w longs, id x is bit x % 64 of word x / 64. GD holds its layer cores,
-  * Lemma-1 bounds and candidate d-CCs this way, and peels a candidate on
+  * is w longs, id x is bit x % 64 of word x / 64. [[Preprocess.Survivors]]
+  * holds the layer cores this way for GD, TD and InitTopK; GD also holds
+  * its Lemma-1 bounds and candidate d-CCs so, and peels a candidate on
   * bit rows: x's row on layer i is the bitset of x's neighbours in A on
   * layer i, so x's degree inside a set B is `Σ_w popcount(row(w) & B(w))`.
   */
@@ -43,6 +44,17 @@ private[core] object Bits {
     var n = 0
     var w = 0
     while (w < bits.length) { n += java.lang.Long.bitCount(bits(w)); w += 1 }
+    n
+  }
+
+  /** Is id x a member of `bits`? */
+  def has(bits: Array[Long], x: Int): Boolean = (bits(x >>> 6) & (1L << x)) != 0
+
+  /** |a \ b|, the popcount of `a & ~b` over a's words. */
+  def andNotCount(a: Array[Long], b: Array[Long]): Int = {
+    var n = 0
+    var w = 0
+    while (w < a.length) { n += java.lang.Long.bitCount(a(w) & ~b(w)); w += 1 }
     n
   }
 

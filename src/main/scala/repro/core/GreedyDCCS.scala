@@ -6,7 +6,7 @@ package repro.core
   * Lines 1-7 work in the survivors A of vertex deletion
   * ([[Preprocess.Survivors]]), in A's local ids; only the picked cores are
   * mapped back to the ids of `g`. Each layer core `C_i` is a bitset of
-  * ⌈|A|/64⌉ longs ([[Bits]]), so a candidate's Lemma-1 bound
+  * ⌈|A|/64⌉ longs (the frame's `coreBits`), so a candidate's Lemma-1 bound
   * `B = ∩_{i∈L} C_i` is the AND of s bitsets and |B| a popcount. A bound as
   * large as each of its layer cores is its own d-CC ([[Bits.dense]]) and
   * costs O(s·|A|/64) words. Every other candidate is peeled inside B, on
@@ -87,12 +87,13 @@ object GreedyDCCS {
     // are built here, not by the first pooled candidate while the others
     // wait on the lazy val, and stay local to this call. The candidates run
     // on the common fork-join pool, each into its combination's slot, so
-    // selection sees the enumeration order.
-    val words = (a.ids.length + 63) >>> 6
+    // selection sees the enumeration order. The layer cores' bitsets are
+    // forced here for the same reason.
+    val words = a.words
     val mayPeel = cores.exists(_.length < a.ids.length)
     val rows = if (mayPeel && bitRows(g, a.ids, cores, words)) Bits.rows(g, a.ids, cores, words) else null
     val h = if (mayPeel && rows == null) a.graph else null
-    val coreBits = cores.map(Bits.bitset(_, words))
+    val coreBits = a.coreBits
     val combos = (0 until g.numLayers).combinations(s).toArray
     val cands = Par.tabulate(combos.length) { c =>
       val combo = combos(c)
@@ -145,10 +146,7 @@ object GreedyDCCS {
       var i = 0
       while (i < cands.length) {
         if (!taken(i)) {
-          val c = cands(i)
-          var gain = 0
-          var w = 0
-          while (w < words) { gain += java.lang.Long.bitCount(c(w) & ~covered(w)); w += 1 }
+          val gain = Bits.andNotCount(cands(i), covered)
           if (gain > bestGain) { best = i; bestGain = gain }
         }
         i += 1

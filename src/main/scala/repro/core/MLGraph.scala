@@ -131,9 +131,8 @@ object MLGraph {
     *     reports a parallelism of 0 as 1), at most one per edge. Each
     *     chunk unboxes its edges into one flat array of
     *     (layer, u, v) ints at the edges' own indices, a self-loop as
-    *     layer −1, and counts its edges per layer. Any other input may be
-    *     single-pass: it is read as it comes, in one chunk, into a buffer
-    *     sized from `knownSize` (doubled when the size is unknown).
+    *     layer −1, and counts its edges per layer. Any other input (an
+    *     `Iterator`, a `List`) is first copied to an array, in one pass.
     *  2. Bucket. A prefix sum over (layer, chunk) gives each chunk a cursor
     *     into each layer's slice of one array of (u, v) pairs; each chunk
     *     copies its pairs there, so a layer's slice is in input order.
@@ -143,16 +142,19 @@ object MLGraph {
     *     that are already ascending, which the sort passes over in linear
     *     time.
     * Transient space: 3m ints read, 2m ints of pairs and 3·P·l counts
-    * and cursors (each chunk counts and advances its own l).
+    * and cursors (each chunk counts and advances its own l), and m
+    * references for an input that is not indexed. At most `MaxEdges`
+    * edges.
     */
   def fromEdges(numLayers: Int, numVertices: Int,
-                edges: IterableOnce[(Int, Int, Int)]): MLGraph = edges match {
-    case seq: collection.IndexedSeq[(Int, Int, Int)] @unchecked if seq.length <= MaxEdges =>
-      val chunks = math.min(ForkJoinPool.getCommonPoolParallelism + 1, seq.length)
-      fromIndexed(numLayers, numVertices, seq, math.max(chunks, 1))
-    case _ =>
-      val (flat, m, counts) = readAll(numLayers, numVertices, edges)
-      assemble(numLayers, numVertices, flat, m, counts, 1)
+                edges: IterableOnce[(Int, Int, Int)]): MLGraph = {
+    val seq = edges match {
+      case seq: collection.IndexedSeq[(Int, Int, Int)] @unchecked => seq
+      case _ => Array.from(edges): collection.IndexedSeq[(Int, Int, Int)]
+    }
+    require(seq.length <= MaxEdges, s"${seq.length} edges, more than the $MaxEdges fromEdges takes")
+    val chunks = math.min(ForkJoinPool.getCommonPoolParallelism + 1, seq.length)
+    fromIndexed(numLayers, numVertices, seq, math.max(chunks, 1))
   }
 
   /** The most edges whose flat (layer, u, v) ints fit in one array. */
@@ -223,26 +225,6 @@ object MLGraph {
     }
     System.arraycopy(own, 0, counts, base, numLayers)
     -1
-  }
-
-  /** Reads a possibly single-pass input in one chunk; returns the flat
-    * ints, the edge count and the per-layer counts.
-    */
-  private def readAll(numLayers: Int, numVertices: Int,
-                      edges: IterableOnce[(Int, Int, Int)]): (Array[Int], Int, Array[Int]) = {
-    val known = edges.knownSize
-    var flat = new Array[Int](if (known >= 0 && known <= MaxEdges) 3 * known else 48)
-    val counts = new Array[Int](numLayers)
-    var len = 0
-    val it = edges.iterator
-    while (it.hasNext) {
-      val t = it.next()
-      if (len + 3 > flat.length)
-        flat = java.util.Arrays.copyOf(flat, math.min(2L * flat.length + 48, Int.MaxValue - 8L).toInt)
-      if (!put(t, len, flat, counts, numLayers, numVertices)) check(t, numLayers, numVertices)
-      len += 3
-    }
-    (flat, len / 3, counts)
   }
 
   /** Stages 2 and 3 on the `m` edges read into `flat` by `chunks` chunks,

@@ -216,10 +216,11 @@ object Preprocess {
   }
 
   /** The frame GD, BU and TD peel in: the survivors A of `pre` (`ids`, so
-    * local id x is `ids(x)`), each layer core in local ids, and G[A], built
-    * on first use, or `g` itself when nothing was deleted. Every layer core
-    * and d-CC bound lies inside A, and the relabelling is monotone, so a
-    * peel on `graph` gives the d-CC a peel on `g` gives, in local ids.
+    * local id x is `ids(x)`), each layer core in local ids, sorted and as a
+    * bitset of `words` longs ([[Bits]]), and G[A], built on first use, or
+    * `g` itself when nothing was deleted. Every layer core and d-CC bound
+    * lies inside A, and the relabelling is monotone, so a peel on `graph`
+    * gives the d-CC a peel on `g` gives, in local ids.
     */
   private[core] final class Survivors(g: MLGraph, val pre: State) {
     val ids: Array[Int] = pre.active
@@ -228,6 +229,10 @@ object Preprocess {
     val layerCores: Array[Array[Int]] =
       if (all) pre.layerCores
       else pre.layerCores.map { c => var p = 0; c.map { v => while (ids(p) < v) p += 1; p } }
+    /** ⌈|A|/64⌉, the longs of a bitset over the local ids. */
+    val words: Int = (ids.length + 63) >>> 6
+    /** `layerCores` as bitsets, built on first use. */
+    lazy val coreBits: Array[Array[Long]] = layerCores.map(Bits.bitset(_, words))
     lazy val graph: MLGraph = if (all) g else g.induced(ids)._1
   }
 }

@@ -30,10 +30,14 @@ private[core] final class Search(g: MLGraph, d: Int, s: Int, k: Int,
     else if (descending) (0 until l).sortBy(i => -frame.layerCores(i).length).toArray
     else (0 until l).sortBy(i => frame.layerCores(i).length).toArray
   val cores: Array[Array[Int]] = order.map(frame.layerCores)
+  /** `cores` as bitsets over A's local ids ([[Bits]]), built on first use:
+    * by InitTopK and TD, never by BU's tree walk.
+    */
+  lazy val coreBits: Array[Array[Long]] = order.map(frame.coreBits)
 
   val topk = new TopKDiversified(k)
   if (cfg.initTopK) {
-    TopKDiversified.initTopK(graph, d, s, order, cores, topk)
+    TopKDiversified.initTopK(graph, d, s, order, coreBits, topk)
     dccCalls += k; candidates += k
   }
 

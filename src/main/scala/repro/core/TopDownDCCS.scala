@@ -34,11 +34,8 @@ object TopDownDCCS {
   def run(g: MLGraph, d: Int, s: Int, k: Int,
           cfg: Search.Config = Search.Config()): GreedyDCCS.Output = {
     val search = new Search(g, d, s, k, cfg, descending = false)
-    import search.{cores, graph, l, order, peel, offer, topk}
+    import search.{coreBits, graph, l, order, peel, offer, topk}
     val rng = new scala.util.Random(42L) // Lemma 7's random descendant
-    val coreBits: Array[java.util.BitSet] = cores.map { c =>
-      val bs = new java.util.BitSet(graph.numVertices); c.foreach(bs.set); bs
-    }
 
     // The positions of L above its largest missing one: the layers that
     // L's descendants may still remove (L ascending).
@@ -58,7 +55,7 @@ object TopDownDCCS {
         if (need <= 0 || nCls.isEmpty) u
         else u.filter { v =>
           var c = 0
-          nCls.foreach(j => if (coreBits(j).get(v)) c += 1)
+          nCls.foreach(j => if (Bits.has(coreBits(j), v)) c += 1)
           c >= need
         }
       // Refinement Method 1: degree-d peel on Class-1 layers (a direct

@@ -96,7 +96,7 @@ final class TopKDiversified(val k: Int) {
       delta += 0
       addVertices(cores.size - 1, c)
       true
-    } else if (sizeIfReplace(c.vertices) >= (1.0 + 1.0 / k) * covSize) {
+    } else if (satisfiesEq1(c.vertices)) {
       val m = minDeltaSlot
       removeVertices(m, cores(m))
       cores(m) = c
@@ -128,21 +128,25 @@ object TopKDiversified {
     * most uncovered vertices, grows it to s layers by largest intersection
     * with the running bound, and offers the d-CC of `L` inside that bound to
     * `topk`. Ties go to the lowest position; `order` maps positions to layers.
+    * The layer cores come as bitsets in position order (`coreBits`), and
+    * each round makes R's cover a bitset too, so every count is a word
+    * popcount.
     */
   private[core] def initTopK(g: MLGraph, d: Int, s: Int, order: Array[Int],
-                             cores: Array[Array[Int]], topk: TopKDiversified): Unit =
+                             coreBits: Array[Array[Long]], topk: TopKDiversified): Unit =
     for (_ <- 0 until topk.k) {
-      val covered = new java.util.BitSet(g.numVertices)
-      topk.result.foreach(_.vertices.foreach(covered.set))
-      var L = List(cores.indices.maxBy(j => cores(j).count(v => !covered.get(v))))
-      var c = cores(L.head)
+      val covered = Bits.bitset(Array.concat(topk.result.map(_.vertices): _*), coreBits(0).length)
+      var L = Vector(coreBits.indices.maxBy(j => Bits.andNotCount(coreBits(j), covered)))
+      var c = coreBits(L.head)
       for (_ <- 1 until s) {
-        val j = cores.indices.filterNot(L.contains)
-          .maxBy(j2 => SetOps.intersect(c, cores(j2)).length)
-        c = SetOps.intersect(c, cores(j))
-        L = j :: L
+        // the largest |c ∩ C_j| is the smallest |c \ C_j|
+        val j = coreBits.indices.filterNot(L.contains)
+          .minBy(j2 => Bits.andNotCount(c, coreBits(j2)))
+        L = j +: L
+        c = Bits.bound(coreBits, L)
       }
-      val cc = if (c.isEmpty) Array.empty[Int] else Dcc.compute(g, L.map(order).toArray, d, c)
+      val b = Bits.decode(c)
+      val cc = if (b.isEmpty) Array.empty[Int] else Dcc.compute(g, L.map(order).toArray, d, b)
       topk.tryUpdate(Core(L.map(order).sorted.toVector, cc))
     }
 }

@@ -146,11 +146,11 @@ object Experiments {
       MiMAG.Config(gamma = 0.8, minSize = d + 1, minSupport = s))
     val bu = BottomUpDCCS.run(gen.graph, d, s, k)
 
-    val covQ = SetOps.coverSize(mimag.clusters.map(_.vertices))
+    val qs = mimag.clusters.map(_.vertices)
+    val cs = bu.result.map(_.vertices)
+    val covQ = SetOps.coverSize(qs)
     val covC = bu.coverSize
-    val qSet = new java.util.BitSet(); mimag.clusters.foreach(_.vertices.foreach(qSet.set))
-    val cSet = new java.util.BitSet(); bu.result.foreach(_.vertices.foreach(cSet.set))
-    val both = { val b = qSet.clone().asInstanceOf[java.util.BitSet]; b.and(cSet); b.cardinality() }
+    val both = covQ + covC - SetOps.coverSize(qs ++ cs)
     val precision = if (covC == 0) 0.0 else both.toDouble / covC
     val recall = if (covQ == 0) 0.0 else both.toDouble / covQ
     val f1 = if (precision + recall == 0) 0.0 else 2 * precision * recall / (precision + recall)
@@ -161,28 +161,22 @@ object Experiments {
         subgraphs.exists(sg => SetOps.subsetOf(cx.vertices, sg)))
       hit.toDouble / gen.complexes.length
     }
-    val buCoverArr = Iterator.iterate(cSet.nextSetBit(0))(i => cSet.nextSetBit(i + 1))
-      .takeWhile(_ >= 0).toArray
 
     Comparison(name, d, mimag.millis, bu.stats.totalMillis,
-      covQ, covC, precision, recall, f1,
-      proportion(mimag.clusters.map(_.vertices)),
-      proportion(bu.result.map(_.vertices)),
-      mimag.clusters, buCoverArr)
+      covQ, covC, precision, recall, f1, proportion(qs), proportion(cs),
+      mimag.clusters, cs.foldLeft(Array.emptyIntArray)(SetOps.union))
   }
 
   // ---- T13 (Fig. 30): |Q ∩ Cov(R_C)| distribution -------------------------
   /** For each |Q| bucket, the fraction of MiMAG clusters of that size whose
     * intersection with Cov(R_C) has each possible cardinality 0..|Q|.
     */
-  def qcDistribution(cmp: Comparison, sizes: Seq[Int]): Seq[(Int, Seq[Double])] = {
-    val cov = new java.util.BitSet(); cmp.buCover.foreach(cov.set)
+  def qcDistribution(cmp: Comparison, sizes: Seq[Int]): Seq[(Int, Seq[Double])] =
     sizes.map { sz =>
       val qs = cmp.qcClusters.filter(_.vertices.length == sz)
       val dist = Array.fill(sz + 1)(0.0)
-      qs.foreach { q => dist(q.vertices.count(cov.get)) += 1 }
+      qs.foreach { q => dist(SetOps.intersect(q.vertices, cmp.buCover).length) += 1 }
       val total = qs.length.toDouble
       (sz, dist.toSeq.map(c => if (total == 0) 0.0 else c / total))
     }
-  }
 }

@@ -333,8 +333,7 @@ class GreedySpec extends AnyFunSuite {
     var dense, other = 0
     for ((g, params) <- survivors ++ random; (d, s) <- params) {
       val a = new Preprocess.Survivors(g, Preprocess.vertexDeletion(g, d, s))
-      val words = (a.ids.length + 63) >>> 6
-      val coreBits = a.layerCores.map(Bits.bitset(_, words))
+      val coreBits = a.coreBits
       var fired = 0
       for (combo <- (0 until g.numLayers).combinations(s)) {
         val clue = s"n=${g.numVertices} d=$d s=$s L=${combo.mkString(",")}"
@@ -360,9 +359,9 @@ class GreedySpec extends AnyFunSuite {
     }
     for (g <- graphs; (d, s) <- Seq((0, 1), (1, 1), (2, 1), (2, 2), (3, 2), (1, g.numLayers), (2, g.numLayers))) {
       val a = new Preprocess.Survivors(g, Preprocess.vertexDeletion(g, d, s))
-      val words = (a.ids.length + 63) >>> 6
+      val words = a.words
       val rows = Bits.rows(g, a.ids, a.layerCores, words)
-      val coreBits = a.layerCores.map(Bits.bitset(_, words))
+      val coreBits = a.coreBits
       for (combo <- (0 until g.numLayers).combinations(s)) {
         val bound = Bits.bound(coreBits, combo)
         // a part of the bound: its members keep neighbours outside it

@@ -124,14 +124,15 @@ class MLGraphSpec extends AnyFunSuite {
       assert(g.neighbors(li, v).sameElements(ref(li)(v)), s"$form layer $li vertex $v")
 
   /** fromEdges on [[randomEdges]] against [[sortedSetAdj]], with the edges
-    * given in six forms: an Iterator (size unknown, so the buffer grows),
-    * an Array, a Vector and an ArrayBuffer (indexed, so read in chunks),
-    * and sorted ascending and descending by (layer, u, v); each on the
-    * calling thread and on a one-worker pool, and the Array read in 1, 2,
-    * 3, 7 and one chunk per edge. All must build the same CSR arrays. So
-    * must an Array of its first 1 to 3 edges (fewer than the chunks the
-    * pool asks for), an empty Array and an Array of self-loops only, each
-    * against an Iterator of the same edges and its own reference.
+    * given in seven forms: an Iterator and a List (not indexed, so copied
+    * to an array first), an Array, a Vector and an ArrayBuffer (indexed,
+    * so read in chunks as they are), and sorted ascending and descending
+    * by (layer, u, v); each on the calling thread and on a one-worker
+    * pool, and the Array read in 1, 2, 3, 7 and one chunk per edge. All
+    * must build the same CSR arrays. So must an Array of its first 1 to 3
+    * edges (fewer than the chunks the pool asks for), an empty Array and
+    * an Array of self-loops only, each against an Iterator of the same
+    * edges and its own reference.
     */
   private def checkAgainstSortedSet(rng: Random, l: Int): Unit = {
     val (n, edges, emptyLayer, isolated) = randomEdges(rng, l)
@@ -140,7 +141,7 @@ class MLGraphSpec extends AnyFunSuite {
     val asc = array.sorted
     def build(input: IterableOnce[(Int, Int, Int)]) = MLGraph.fromEdges(l, n, input)
     val forms = Seq[(String, () => IterableOnce[(Int, Int, Int)])](
-      "iterator" -> (() => edges.iterator), "array" -> (() => array),
+      "iterator" -> (() => edges.iterator), "list" -> (() => edges.toList), "array" -> (() => array),
       "vector" -> (() => edges.toVector), "arrayBuffer" -> (() => mutable.ArrayBuffer.from(edges)),
       "ascending" -> (() => asc), "descending" -> (() => asc.reverse))
     val graphs = forms.flatMap { case (form, input) =>
@@ -301,7 +302,8 @@ class MLGraphSpec extends AnyFunSuite {
     for ((edges, message) <- Seq(vertexFirst -> s"bad edge (4,$n)", layerFirst -> "bad layer -1")) {
       val forms = Seq[(String, () => MLGraph)](
         "array" -> (() => MLGraph.fromEdges(l, n, edges)),
-        "iterator" -> (() => MLGraph.fromEdges(l, n, edges.iterator))) ++
+        "iterator" -> (() => MLGraph.fromEdges(l, n, edges.iterator)),
+        "list" -> (() => MLGraph.fromEdges(l, n, edges.toList))) ++
         Seq(1, 2, 5, 8, 96).map(c => s"$c chunks" -> (() => MLGraph.fromIndexed(l, n, edges, c)))
       for ((form, build) <- forms;
            e <- Seq(intercept[IllegalArgumentException](build()),
@@ -315,6 +317,13 @@ class MLGraphSpec extends AnyFunSuite {
   test("fromEdges validates layer and vertex bounds") {
     intercept[IllegalArgumentException](MLGraph.fromEdges(1, 3, Seq((1, 0, 1))))
     intercept[IllegalArgumentException](MLGraph.fromEdges(1, 3, Seq((0, 0, 3))))
+    // more edges than one flat read array holds: refused before any is read
+    val tooMany = new collection.IndexedSeq[(Int, Int, Int)] {
+      def length: Int = Int.MaxValue
+      def apply(e: Int): (Int, Int, Int) = (0, 0, 1)
+    }
+    val e = intercept[IllegalArgumentException](MLGraph.fromEdges(1, 3, tooMany))
+    assert(e.getMessage.startsWith(s"requirement failed: ${Int.MaxValue} edges, more than"))
   }
 
   test("empty graph has no edges") {

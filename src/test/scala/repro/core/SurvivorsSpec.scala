@@ -3,8 +3,9 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 
-/** The survivor frame: A's local ids, its layer cores and G[A], and the
-  * map back to the ids of `g` that BU and TD apply to R.
+/** The survivor frame: A's local ids, its layer cores (sorted and as
+  * bitsets) and G[A], and the map back to the ids of `g` that BU and TD
+  * apply to R.
   */
 class SurvivorsSpec extends AnyFunSuite {
 
@@ -20,8 +21,10 @@ class SurvivorsSpec extends AnyFunSuite {
       val a = new Preprocess.Survivors(g, pre)
       val clue = s"seed=$seed d=$d s=$s enabled=$enabled"
       assert(a.ids sameElements pre.active, clue)
+      assert(a.words == (a.ids.length + 63) >>> 6, clue)
       a.layerCores.indices.foreach { i =>
         assert(a.layerCores(i).map(a.ids).toSeq == pre.layerCores(i).toSeq, s"$clue layer=$i")
+        assert(Bits.decode(a.coreBits(i)).toSeq == a.layerCores(i).toSeq, s"$clue layer=$i")
       }
       if (pre.active.length == g.numVertices) {
         same += 1
